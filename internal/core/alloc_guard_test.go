@@ -62,3 +62,28 @@ func TestPartialDenseTickAllocFree(t *testing.T) {
 		t.Fatal("no accesses completed: guard is vacuous")
 	}
 }
+
+// TestPartialEpochAllocFree is the parallel-path twin of the dense guard:
+// the same underloaded Fig. 3.14 shape under a two-worker ParallelClock
+// that epoch-batches (TickShard on the workers, FinishEpoch on the
+// fold). After warm-up, the worker hand-offs, barrier crossings and the
+// fold must allocate nothing.
+func TestPartialEpochAllocFree(t *testing.T) {
+	p := NewPartial(PartialConfig{
+		Processors: 64, Modules: 8, BlockWords: 16, BankCycle: 2,
+		Locality: 0.9, AccessRate: 0.02, RetryMean: 4, Seed: 9,
+	})
+	pc := sim.NewParallelClock(2)
+	defer pc.Close()
+	pc.Register(p)
+	pc.Run(30000) // warm-up: every backlog ring at steady-state depth
+	if avg := testing.AllocsPerRun(20, func() { pc.Run(200) }); avg != 0 {
+		t.Fatalf("epoch-batched shard sweep allocates %v times per 200 slots, want 0", avg)
+	}
+	if pc.Epochs() >= pc.SlotsFired() {
+		t.Fatalf("plan never batched: %d epochs over %d fired slots", pc.Epochs(), pc.SlotsFired())
+	}
+	if p.Completed == 0 {
+		t.Fatal("no accesses completed: guard is vacuous")
+	}
+}

@@ -243,25 +243,32 @@ func (cs *ClusterSystem) LoadState(dec *sim.StateDecoder) {
 
 // SaveState implements sim.Stater for the partially conflict-free
 // system: per-processor RNG streams, port busy clocks, every processor
-// automaton, and the public measurements.
+// automaton, and the public measurements. The wire order is
+// processor-major (ports module-major), independent of the shard-major
+// storage: wire index w is stored at slotOf(w), and since ports form the
+// same (module, set) transpose as processors (cluster, set), one mapping
+// serves both.
 func (p *Partial) SaveState(enc *sim.StateEncoder) {
 	enc.Int(len(p.rngs))
-	for i := range p.rngs {
-		enc.RNG(&p.rngs[i])
+	for w := range p.rngs {
+		enc.RNG(&p.rngs[p.slotOf(w)])
 	}
-	sim.SaveSlots(enc, p.ports)
-	saveProcs(enc, p.state)
-	sim.SaveSlots(enc, p.wakeAt)
-	sim.SaveSlots(enc, p.doneAt)
-	sim.SaveSlots(enc, p.issuedAt)
-	sim.SaveSlots(enc, p.nextArrival)
+	p.saveSlots(enc, p.ports)
+	enc.Int(len(p.state))
+	for w := range p.state {
+		enc.Int(int(p.state[p.slotOf(w)]))
+	}
+	p.saveSlots(enc, p.wakeAt)
+	p.saveSlots(enc, p.doneAt)
+	p.saveSlots(enc, p.issuedAt)
+	p.saveSlots(enc, p.nextArrival)
 	enc.Int(len(p.backlog))
-	for i := range p.backlog {
-		sim.SaveQueue(enc, &p.backlog[i], func(e *sim.StateEncoder, v sim.Slot) { e.Slot(v) })
+	for w := range p.backlog {
+		sim.SaveQueue(enc, &p.backlog[p.slotOf(w)], func(e *sim.StateEncoder, v sim.Slot) { e.Slot(v) })
 	}
 	enc.Int(len(p.targetMod))
-	for _, m := range p.targetMod {
-		enc.Int(int(m))
+	for w := range p.targetMod {
+		enc.Int(int(p.targetMod[p.slotOf(w)]))
 	}
 	enc.I64(p.Completed)
 	enc.I64(p.Retries)
@@ -270,34 +277,66 @@ func (p *Partial) SaveState(enc *sim.StateEncoder) {
 	enc.I64(p.RemoteAcc)
 }
 
+// saveSlots encodes a shard-major []sim.Slot in wire order, framed like
+// sim.SaveSlots.
+func (p *Partial) saveSlots(enc *sim.StateEncoder, s []sim.Slot) {
+	enc.Int(len(s))
+	for w := range s {
+		enc.Slot(s[p.slotOf(w)])
+	}
+}
+
+// loadSlots restores a shard-major []sim.Slot from wire order, checked
+// like sim.LoadSlots.
+func (p *Partial) loadSlots(dec *sim.StateDecoder, s []sim.Slot) {
+	if n := dec.Count(); n != len(s) && dec.Err() == nil {
+		dec.Failf("sim: state mismatch: snapshot has %d slots, component has %d", n, len(s))
+		return
+	}
+	for w := range s {
+		s[p.slotOf(w)] = dec.Slot()
+	}
+}
+
 // LoadState implements sim.Stater.
 func (p *Partial) LoadState(dec *sim.StateDecoder) {
 	if n := dec.Count(); n != len(p.rngs) && dec.Err() == nil {
 		dec.Failf("core: snapshot has %d RNG streams, system has %d", n, len(p.rngs))
 		return
 	}
-	for i := range p.rngs {
-		dec.RNG(&p.rngs[i])
+	for w := range p.rngs {
+		dec.RNG(&p.rngs[p.slotOf(w)])
 	}
-	sim.LoadSlots(dec, p.ports)
-	loadProcs(dec, p.state)
-	sim.LoadSlots(dec, p.wakeAt)
-	sim.LoadSlots(dec, p.doneAt)
-	sim.LoadSlots(dec, p.issuedAt)
-	sim.LoadSlots(dec, p.nextArrival)
+	p.loadSlots(dec, p.ports)
+	if n := dec.Count(); n != len(p.state) && dec.Err() == nil {
+		dec.Failf("core: snapshot has %d processor states, system has %d", n, len(p.state))
+		return
+	}
+	for w := range p.state {
+		v := dec.Int()
+		if v < int(procIdle) || v > int(procInFlight) {
+			dec.Failf("core: invalid processor state %d", v)
+			return
+		}
+		p.state[p.slotOf(w)] = procState(v)
+	}
+	p.loadSlots(dec, p.wakeAt)
+	p.loadSlots(dec, p.doneAt)
+	p.loadSlots(dec, p.issuedAt)
+	p.loadSlots(dec, p.nextArrival)
 	if n := dec.Count(); n != len(p.backlog) && dec.Err() == nil {
 		dec.Failf("core: snapshot has %d backlogs, system has %d", n, len(p.backlog))
 		return
 	}
-	for i := range p.backlog {
-		sim.LoadQueue(dec, &p.backlog[i], func(d *sim.StateDecoder) sim.Slot { return d.Slot() })
+	for w := range p.backlog {
+		sim.LoadQueue(dec, &p.backlog[p.slotOf(w)], func(d *sim.StateDecoder) sim.Slot { return d.Slot() })
 	}
 	if n := dec.Count(); n != len(p.targetMod) && dec.Err() == nil {
 		dec.Failf("core: snapshot has %d target modules, system has %d", n, len(p.targetMod))
 		return
 	}
-	for i := range p.targetMod {
-		p.targetMod[i] = int32(dec.Int())
+	for w := range p.targetMod {
+		p.targetMod[p.slotOf(w)] = int32(dec.Int())
 	}
 	p.Completed = dec.I64()
 	p.Retries = dec.I64()
@@ -306,8 +345,8 @@ func (p *Partial) LoadState(dec *sim.StateDecoder) {
 	p.RemoteAcc = dec.I64()
 	// nextEvent is derived state (the per-processor quiescence bound the
 	// tick sweep skips on); rebuild it from the restored automata.
-	for i := range p.nextEvent {
-		p.nextEvent[i] = p.eventSlot(i)
+	for j := range p.nextEvent {
+		p.nextEvent[j] = p.eventSlot(j)
 	}
 }
 

@@ -161,11 +161,13 @@ func SerialTick(s Shardable, t Slot, ph Phase) {
 // WorkersAuto, passed to NewParallelClock, selects the worker count
 // automatically: the engine inspects the compiled schedule and runs
 // serially unless some parallel segment is at least autoSerialShards
-// wide — small configurations never pay the coordination tax (the
-// recorded baseline showed workers=4 nearly 3x SLOWER than workers=1 on
-// the dissertation shapes; see EXPERIMENTS.md). Plans that epoch-batch
-// amortize that tax over whole episodes, so for them the bar drops to
-// autoEpochSerialShards.
+// wide — small configurations never pay the coordination tax. Measured
+// on a 2-CPU Xeon (Go 1.24, epoch-batched core.Partial at r=0.03, 16-word
+// blocks): the Fig. 3.14 shape (n=64, 8 shards) runs about even with
+// serial at 2 workers and about 1.6x slower at 4, while the same
+// clusters scaled to n=4096 (512 modules) run about 1.9x faster than
+// serial at 2 workers. Plans that epoch-batch amortize that tax over
+// whole episodes, so for them the bar drops to autoEpochSerialShards.
 const WorkersAuto = 0
 
 // autoSerialShards is the WorkersAuto threshold: the widest parallel
