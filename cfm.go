@@ -116,7 +116,7 @@ const WorkersAuto = sim.WorkersAuto
 // worker count (WorkersAuto = heuristic, < 0 = GOMAXPROCS).
 func NewParallelClock(workers int) *ParallelClock { return sim.NewParallelClock(workers) }
 
-// EpochAuto asks Engine.SetEpochBatch to size barrier episodes itself:
+// EpochAuto asks ParallelClock.SetEpochBatch to size barrier episodes itself:
 // a batchable plan (all shard work, every component epoch-safe) fuses
 // several slots per barrier episode so crossings amortize; any other
 // plan runs slot-at-a-time. It is the default — pass 1 to disable

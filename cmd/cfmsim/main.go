@@ -277,10 +277,7 @@ func cmdEfficiency(args []string) {
 	steps := fs.Int("steps", 12, "rate sweep steps")
 	simulate := fs.Bool("sim", true, "cross-check with discrete-event simulation")
 	slots := fs.Int64("slots", 300000, "simulation slots per point")
-	parallel := fs.Bool("parallel", false, "run the simulation on the parallel cycle engine")
-	workers := fs.Int("workers", 0, "parallel engine workers (0 = auto: serial fallback for small fleets, else GOMAXPROCS; <0 = GOMAXPROCS)")
-	skipAhead := fs.Bool("skip-ahead", false, "jump the clock over quiescent slots (event-horizon scheduling; same results, bit for bit)")
-	epochBatch := fs.Int("epoch-batch", int(cfm.EpochAuto), "barrier episode length: 0 = auto, 1 = per-slot barriers, K > 1 caps episodes at K slots (parallel engine only; same results, bit for bit)")
+	ef := obsflags.EngineFlags(fs)
 	obs := obsflags.Flags(fs)
 	fs.Parse(args)
 	openObservatory(obs, false)
@@ -324,12 +321,7 @@ func cmdEfficiency(args []string) {
 
 	if *simulate {
 		fmt.Println("\ndiscrete-event simulation cross-check:")
-		simEfficiency(*fig, *slots, func() cfm.Engine {
-			eng := cfm.NewEngine(*parallel, *workers)
-			eng.SetSkipAhead(*skipAhead)
-			eng.SetEpochBatch(*epochBatch)
-			return eng
-		}, obs)
+		simEfficiency(*fig, *slots, ef.New, obs)
 	}
 	closeObservatory(obs)
 }
@@ -462,10 +454,7 @@ func cmdTreeSat(args []string) {
 	n := fs.Int("n", 16, "terminals")
 	rate := fs.Float64("rate", 0.1, "injection rate")
 	slots := fs.Int64("slots", 30000, "simulation slots")
-	parallel := fs.Bool("parallel", false, "run the simulation on the parallel cycle engine")
-	workers := fs.Int("workers", 0, "parallel engine workers (0 = auto: serial fallback for small fleets, else GOMAXPROCS; <0 = GOMAXPROCS)")
-	skipAhead := fs.Bool("skip-ahead", false, "jump the clock over quiescent slots (event-horizon scheduling; same results, bit for bit)")
-	epochBatch := fs.Int("epoch-batch", int(cfm.EpochAuto), "barrier episode length: 0 = auto, 1 = per-slot barriers, K > 1 caps episodes at K slots (parallel engine only; same results, bit for bit)")
+	ef := obsflags.EngineFlags(fs)
 	obs := obsflags.Flags(fs)
 	fs.Parse(args)
 	openObservatory(obs, false)
@@ -479,9 +468,7 @@ func cmdTreeSat(args []string) {
 		})
 		b.Instrument(obs.Reg)
 		b.RecordFlight(obs.Flight)
-		clk := cfm.NewEngine(*parallel, *workers)
-		clk.SetSkipAhead(*skipAhead)
-		clk.SetEpochBatch(*epochBatch)
+		clk := ef.New()
 		clk.Register(b)
 		obs.Attach(clk)
 		clk.Run(*slots)
@@ -669,10 +656,7 @@ func cmdLatency(args []string) {
 func cmdAlloc(args []string) {
 	fs := flag.NewFlagSet("alloc", flag.ExitOnError)
 	slots := fs.Int64("slots", 100000, "simulation slots")
-	parallel := fs.Bool("parallel", false, "run the simulation on the parallel cycle engine")
-	workers := fs.Int("workers", 0, "parallel engine workers (0 = auto: serial fallback for small fleets, else GOMAXPROCS; <0 = GOMAXPROCS)")
-	skipAhead := fs.Bool("skip-ahead", false, "jump the clock over quiescent slots (event-horizon scheduling; same results, bit for bit)")
-	epochBatch := fs.Int("epoch-batch", int(cfm.EpochAuto), "barrier episode length: 0 = auto, 1 = per-slot barriers, K > 1 caps episodes at K slots (parallel engine only; same results, bit for bit)")
+	ef := obsflags.EngineFlags(fs)
 	obs := obsflags.Flags(fs)
 	fs.Parse(args)
 	openObservatory(obs, false)
@@ -707,9 +691,7 @@ func cmdAlloc(args []string) {
 		p := cfm.NewPartial(c)
 		p.Instrument(obs.Reg)
 		p.RecordFlight(obs.Flight)
-		clk := cfm.NewEngine(*parallel, *workers)
-		clk.SetSkipAhead(*skipAhead)
-		clk.SetEpochBatch(*epochBatch)
+		clk := ef.New()
 		clk.Register(p)
 		obs.Attach(clk)
 		clk.Run(*slots)
@@ -774,10 +756,7 @@ func cmdObserve(args []string) {
 	rate := fs.Float64("rate", 0.05, "per-processor access rate")
 	hot := fs.Float64("hot", 0.2, "hot-spot fraction on the buffered network")
 	slots := fs.Int64("slots", 24000, "simulation slots")
-	parallel := fs.Bool("parallel", false, "run the simulation on the parallel cycle engine")
-	workers := fs.Int("workers", 0, "parallel engine workers (0 = auto: serial fallback for small fleets, else GOMAXPROCS; <0 = GOMAXPROCS)")
-	skipAhead := fs.Bool("skip-ahead", false, "jump the clock over quiescent slots (event-horizon scheduling; same results, bit for bit)")
-	epochBatch := fs.Int("epoch-batch", int(cfm.EpochAuto), "barrier episode length: 0 = auto, 1 = per-slot barriers, K > 1 caps episodes at K slots (parallel engine only; same results, bit for bit)")
+	ef := obsflags.EngineFlags(fs)
 	obs := obsflags.Flags(fs)
 	fs.Parse(args)
 	openObservatory(obs, true) // observe always needs the registry
@@ -799,9 +778,7 @@ func cmdObserve(args []string) {
 	// The cache protocol is the interesting one here.
 	proto.RecordFlight(obs.Flight)
 
-	clk := cfm.NewEngine(*parallel, *workers)
-	clk.SetSkipAhead(*skipAhead)
-	clk.SetEpochBatch(*epochBatch)
+	clk := ef.New()
 	clk.Register(conv)
 	clk.Register(net)
 	clk.Register(proto)
@@ -901,10 +878,7 @@ func cmdWaterfall(args []string) {
 	slots := fs.Int64("slots", 20000, "simulation slots")
 	top := fs.Int("top", 3, "render the K longest complete spans")
 	id := fs.String("id", "", "render one specific span (up to 16 hex digits) instead of the longest")
-	parallel := fs.Bool("parallel", false, "run the simulation on the parallel cycle engine")
-	workers := fs.Int("workers", 0, "parallel engine workers (0 = auto: serial fallback for small fleets, else GOMAXPROCS; <0 = GOMAXPROCS)")
-	skipAhead := fs.Bool("skip-ahead", false, "jump the clock over quiescent slots (event-horizon scheduling; same results, bit for bit)")
-	epochBatch := fs.Int("epoch-batch", int(cfm.EpochAuto), "barrier episode length: 0 = auto, 1 = per-slot barriers, K > 1 caps episodes at K slots (parallel engine only; same results, bit for bit)")
+	ef := obsflags.EngineFlags(fs)
 	obs := obsflags.Flags(fs)
 	fs.Parse(args)
 	openObservatory(obs, false)
@@ -915,9 +889,7 @@ func cmdWaterfall(args []string) {
 	if rec == nil {
 		rec = cfm.NewFlightRecorder(obs.SpansLimit)
 	}
-	clk := cfm.NewEngine(*parallel, *workers)
-	clk.SetSkipAhead(*skipAhead)
-	clk.SetEpochBatch(*epochBatch)
+	clk := ef.New()
 	var label string
 	switch *sys {
 	case "conventional":

@@ -50,21 +50,20 @@ func runDifferential(t *testing.T, scenario func(eng cfm.Engine) string) {
 				w, want, got)
 		}
 	}
-	// Explicit epoch-batching passes with pinned episode lengths and
-	// tree arities, dense and skip-ahead. (The worker sweeps above
-	// already batch under the EpochAuto default wherever the plan
-	// allows; these pin specific K/arity shapes, including ones the
-	// auto path never picks.) On non-batchable plans the knobs are
-	// inert and this re-proves the classic body under tuned barriers.
-	for _, bc := range []struct{ w, k, arity int }{{2, 4, 2}, {4, 16, 4}, {3, 3, 3}} {
+	// Explicit epoch-batching passes with pinned episode lengths, dense
+	// and skip-ahead. (The worker sweeps above already batch under the
+	// EpochAuto default wherever the plan allows; these pin specific K
+	// shapes, including ones the auto path never picks.) On
+	// non-batchable plans the knob is inert and this re-proves one-slot
+	// episodes.
+	for _, bc := range []struct{ w, k int }{{2, 4}, {4, 16}, {3, 3}} {
 		for _, skipAhead := range []bool{false, true} {
 			eng := cfm.NewParallelClock(bc.w)
 			eng.SetEpochBatch(bc.k)
-			eng.SetBarrierArity(bc.arity)
 			eng.SetSkipAhead(skipAhead)
 			if got := scenario(eng); got != want {
-				t.Fatalf("batched run (workers=%d K=%d arity=%d skip=%v) diverged from serial:\nserial  %s\nbatched %s",
-					bc.w, bc.k, bc.arity, skipAhead, want, got)
+				t.Fatalf("batched run (workers=%d K=%d skip=%v) diverged from serial:\nserial  %s\nbatched %s",
+					bc.w, bc.k, skipAhead, want, got)
 			}
 		}
 	}

@@ -93,26 +93,36 @@ func (b *CFMBinder) run(processors int) {
 	clk.Register(ml)
 	clk.Register(proto)
 
-	// pending[proc] = reply channel awaiting that processor's grant.
+	// pending[proc] = reply channel awaiting that processor's grant;
+	// unbinding[proc] = reply channel awaiting its unlock's retirement.
+	// An unbind is answered only once the unlock RMW has retired, so the
+	// client's next Bind never finds its processor still unlocking.
 	pending := make(map[int]chan bool)
+	unbinding := make(map[int]chan bool)
 	handle := func(req cfmReq) {
 		if req.bind {
 			ml.Request(req.proc, req.pattern)
 			pending[req.proc] = req.reply
 		} else {
 			ml.Release(req.proc)
-			req.reply <- true
+			unbinding[req.proc] = req.reply
 		}
 	}
 	for {
-		// Service any due grants.
+		// Service any due grants and retired unlocks.
 		for proc, reply := range pending {
 			if ml.Holding(proc) != 0 {
 				delete(pending, proc)
 				reply <- true
 			}
 		}
-		if len(pending) == 0 && proto.Idle() {
+		for proc, reply := range unbinding {
+			if ml.Idle(proc) {
+				delete(unbinding, proc)
+				reply <- true
+			}
+		}
+		if len(pending) == 0 && len(unbinding) == 0 && proto.Idle() {
 			// Nothing in flight: block until the next request instead of
 			// spinning the clock.
 			select {

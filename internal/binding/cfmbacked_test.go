@@ -70,6 +70,38 @@ func TestCFMBinderBindUnbind(t *testing.T) {
 	b.Unbind(l)
 }
 
+// TestCFMBinderRebindAfterUnbind: a client that rebinds right after
+// Unbind returns must find its processor idle. Unbind therefore waits
+// for the unlock RMW to retire; answering it at Release would let the
+// next Bind reach the multiple-lock unit while the unlock is still in
+// flight, which panics ("requested locks while busy"). A second
+// processor binds a disjoint region in between, so the lock block's
+// line has migrated away and the unlock takes several slots.
+func TestCFMBinderRebindAfterUnbind(t *testing.T) {
+	b := NewCFMBinder(2)
+	defer b.Stop()
+	mine, other := R("mine", Dim{0, 0, 0}), R("other", Dim{0, 0, 0})
+	if PatternFor(mine)&PatternFor(other) != 0 {
+		t.Fatal("test regions share a component")
+	}
+	for r := 0; r < 50; r++ {
+		l, err := b.Bind(1, mine)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lo, err := b.Bind(0, other)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.Unbind(l)
+		if l, err = b.Bind(1, mine); err != nil {
+			t.Fatal(err)
+		}
+		b.Unbind(l)
+		b.Unbind(lo)
+	}
+}
+
 // TestCFMBinderMutualExclusion: concurrent goroutines increment a counter
 // under overlapping CFM-backed bindings; mutual exclusion must hold.
 func TestCFMBinderMutualExclusion(t *testing.T) {

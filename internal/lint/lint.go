@@ -8,7 +8,7 @@
 //   - rng-discipline: every type holding a *sim.RNG declares whether it
 //     draws at event time or per slot (//cfm:rng=event|slot), and
 //     slot-discipline types pin their Horizon to now.
-//   - phasemask: a PhaseMask()/ActivePhases() literal must agree with
+//   - phasemask: a PhaseMask() literal must agree with
 //     the sim.Phase cases its Tick/TickShard/FinishShards dispatch on.
 //   - hotpath-alloc: no fmt.Sprint*, string concatenation, closure
 //     literals, or uncapped appends in the Tick call graphs of packages
@@ -21,10 +21,10 @@
 //   - flight: flight-recorder emissions in instrumented packages sit
 //     under an Enabled() guard (the disabled path is zero-alloc), and a
 //     package emitting an opening stage also emits StageRetire.
-//   - structlayout: a //cfm:cacheline struct (per-worker barrier nodes
-//     laid out side by side in a slice) sizes to a nonzero multiple of
-//     64 bytes on gc/amd64, so adjacent workers' spin flags never share
-//     a cache line.
+//   - structlayout: a //cfm:cacheline struct (per-shard elements laid
+//     out side by side in a slice) sizes to a nonzero multiple of 64
+//     bytes on gc/amd64, so adjacent workers' elements never share a
+//     cache line.
 //   - soalayout: a //cfm:soa arena struct (flat parallel arrays swept by
 //     compiled dense tick loops) keeps pointer-free slice elements and
 //     no maps, so the hot sweep never chases per-element heap pointers;

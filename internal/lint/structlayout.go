@@ -19,13 +19,12 @@ var structLayoutSizes = types.SizesFor("gc", "amd64")
 
 // StructLayoutPass checks //cfm:cacheline-annotated types. The directive
 // marks structs whose instances sit side by side in a slice with each
-// element owned by a different worker — the combining-tree barrier's
-// per-worker nodes are the canonical case. Such a struct must occupy a
-// nonzero whole number of 64-byte cache lines, or adjacent workers'
-// spin flags share a line and every local spin becomes remote coherence
-// traffic: exactly the contended-counter behaviour the tree barrier was
-// built to remove, reintroduced silently by a field edit. The pass turns
-// that layout assumption into a build-time failure.
+// element owned by a different worker — core.Partial's per-shard stage
+// is the canonical case. Such a struct must occupy a nonzero whole
+// number of 64-byte cache lines, or adjacent workers' elements share a
+// line and every local write becomes remote coherence traffic (false
+// sharing), reintroduced silently by a field edit. The pass turns that
+// layout assumption into a build-time failure.
 func StructLayoutPass() *Pass {
 	const name = "structlayout"
 	return &Pass{
@@ -70,6 +69,6 @@ func (t *Target) checkCacheLine(ts *ast.TypeSpec, r *Reporter, pass string) {
 	case size == 0:
 		r.Reportf(pass, ts.Pos(), "%s is annotated //cfm:cacheline but is empty: pad it to %d bytes or drop the directive", ts.Name.Name, cacheLineBytes)
 	case size%cacheLineBytes != 0:
-		r.Reportf(pass, ts.Pos(), "%s is annotated //cfm:cacheline but is %d bytes, not a multiple of %d: adjacent elements would share a cache line (false sharing on the per-worker spin flags); adjust the trailing padding", ts.Name.Name, size, cacheLineBytes)
+		r.Reportf(pass, ts.Pos(), "%s is annotated //cfm:cacheline but is %d bytes, not a multiple of %d: adjacent elements would share a cache line (false sharing between workers' elements); adjust the trailing padding", ts.Name.Name, size, cacheLineBytes)
 	}
 }

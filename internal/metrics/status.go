@@ -126,9 +126,5 @@ func (st *statusTicker) Tick(t sim.Slot, ph sim.Phase) {
 // PhaseMask implements sim.PhaseMasker.
 func (st *statusTicker) PhaseMask() sim.PhaseMask { return sim.MaskOf(sim.PhaseUpdate) }
 
-// ActivePhases marks the ticker PhaseUpdate-only for the parallel
-// engine's schedules.
-func (st *statusTicker) ActivePhases() []sim.Phase { return []sim.Phase{sim.PhaseUpdate} }
-
 // Horizon implements sim.Horizoner: never force a slot to fire.
 func (st *statusTicker) Horizon(now sim.Slot) sim.Slot { return sim.HorizonNone }

@@ -1,8 +1,9 @@
-// Package obsflags wires the observability command-line flags shared by
-// the cmd/ tools (-metrics-out, -trace-out, -http, -sample, -spans-out)
-// to the concrete objects behind them: the metrics registry, the
+// Package obsflags wires the command-line flags shared by the cmd/ tools
+// — observability (-metrics-out, -trace-out, -http, -sample, -spans-out)
+// and engine selection (-parallel, -workers, -skip-ahead, -epoch-batch)
+// — to the concrete objects behind them: the metrics registry, the
 // slot-sampled time-series recorder, the event trace, the flight
-// recorder, and the live profiling endpoint.
+// recorder, the live profiling endpoint, and the cycle engine.
 package obsflags
 
 import (
@@ -63,6 +64,43 @@ func Flags(fs *flag.FlagSet) *Observatory {
 	fs.IntVar(&ob.SpansLimit, "spans-limit", flight.DefaultLimit,
 		"flight recorder capacity in events (the ring keeps the newest)")
 	return ob
+}
+
+// Engine holds the parsed engine-selection flags (-parallel, -workers,
+// -skip-ahead, -epoch-batch); New builds an engine from them.
+type Engine struct {
+	Parallel   bool // -parallel: run on the parallel cycle engine
+	Workers    int  // -workers: parallel engine workers
+	SkipAhead  bool // -skip-ahead: event-horizon scheduling
+	EpochBatch int  // -epoch-batch: parallel engine episode length
+}
+
+// EngineFlags registers the engine-selection flags on fs and returns
+// the Engine they fill in. Call New after fs.Parse.
+func EngineFlags(fs *flag.FlagSet) *Engine {
+	e := &Engine{}
+	fs.BoolVar(&e.Parallel, "parallel", false, "run the simulation on the parallel cycle engine")
+	fs.IntVar(&e.Workers, "workers", 0,
+		"parallel engine workers (0 = auto: serial fallback for small fleets, else GOMAXPROCS; <0 = GOMAXPROCS)")
+	fs.BoolVar(&e.SkipAhead, "skip-ahead", false,
+		"jump the clock over quiescent slots (event-horizon scheduling; same results, bit for bit)")
+	fs.IntVar(&e.EpochBatch, "epoch-batch", sim.EpochAuto,
+		"barrier episode length: 0 = auto, 1 = per-slot barriers, K > 1 caps episodes at K slots (parallel engine only; same results, bit for bit)")
+	return e
+}
+
+// New returns a fresh engine at slot 0: a serial Clock, or with
+// -parallel a ParallelClock of the requested workers and episode
+// length; either way with -skip-ahead applied.
+func (e *Engine) New() sim.Engine {
+	var eng sim.Engine = sim.NewClock()
+	if e.Parallel {
+		pc := sim.NewParallelClock(e.Workers)
+		pc.SetEpochBatch(e.EpochBatch)
+		eng = pc
+	}
+	eng.SetSkipAhead(e.SkipAhead)
+	return eng
 }
 
 // MaybeResume restores eng from the -resume checkpoint when the flag is

@@ -321,3 +321,44 @@ func TestCloseExcludesSyncCounters(t *testing.T) {
 		}
 	}
 }
+
+// TestEngineFlags pins the engine-selection flags the cmd/ tools share
+// — names, defaults, and what New builds from them: a serial Clock by
+// default; with -parallel a ParallelClock carrying -workers and
+// -epoch-batch; -skip-ahead on either.
+func TestEngineFlags(t *testing.T) {
+	fs := flag.NewFlagSet("x", flag.ContinueOnError)
+	ef := EngineFlags(fs)
+	for name, def := range map[string]string{"parallel": "false", "workers": "0", "skip-ahead": "false", "epoch-batch": "0"} {
+		if f := fs.Lookup(name); f == nil || f.DefValue != def {
+			t.Errorf("flag -%s: %+v, want default %q", name, f, def)
+		}
+	}
+	if err := fs.Parse(nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := ef.New().(*sim.Clock); !ok || ef.EpochBatch != sim.EpochAuto {
+		t.Fatalf("defaults built %T with epoch batch %d, want a serial Clock and EpochAuto", ef.New(), ef.EpochBatch)
+	}
+
+	fs = flag.NewFlagSet("x", flag.ContinueOnError)
+	ef = EngineFlags(fs)
+	if err := fs.Parse([]string{"-parallel", "-workers", "2", "-skip-ahead", "-epoch-batch", "4"}); err != nil {
+		t.Fatal(err)
+	}
+	pc, ok := ef.New().(*sim.ParallelClock)
+	if !ok || pc.Workers() != 2 {
+		t.Fatalf("-parallel -workers 2 built %T (%+v)", ef.New(), pc)
+	}
+	defer pc.Close()
+	pc.Register(&shardedLoad{vals: make([]int64, 8)})
+	pc.Run(10)
+	if pc.Epochs() != 3 {
+		t.Fatalf("-epoch-batch 4 over 10 slots ran %d episodes, want 3", pc.Epochs())
+	}
+	idle := ef.New()
+	idle.Register(&sim.FuncTicker{NextEvent: func(sim.Slot) sim.Slot { return sim.HorizonNone }})
+	if idle.Run(10); idle.SlotsFired() != 0 {
+		t.Fatalf("-skip-ahead fired %d slots of a fleet with no next event", idle.SlotsFired())
+	}
+}

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-	"unsafe"
 )
 
 // epochEvent is one staged, order-sensitive record of the synthetic
@@ -135,19 +134,21 @@ func (e *epochComp) snapshot() string {
 	return fmt.Sprintf("digest=%d state=%v", e.digest, e.state)
 }
 
-// TestEpochBatchEquivalence sweeps (workers, arity, K, shards) against
-// the serial oracle: identical digests, states, and clock positions,
-// with the run length deliberately not a multiple of K so the final
-// episode truncates.
+// TestEpochBatchEquivalence sweeps (workers, chunks, K, shards) against
+// the serial oracle: identical digests, states, and clock positions.
+// The run is split across aN Run calls (a2..a4) of lengths that are not
+// multiples of K, so episodes truncate at every budget edge. workers=1
+// walks the same episode loop inline: it must batch (FinishEpoch) yet
+// cross no barrier.
 func TestEpochBatchEquivalence(t *testing.T) {
 	const slots = 23
 	masks := []PhaseMask{MaskAll, MaskOf(PhaseIssue), MaskOf(PhaseConnect, PhaseUpdate)}
-	for _, workers := range []int{2, 3, 4} {
-		for _, arity := range []int{2, 3, 4} {
+	for _, workers := range []int{1, 2, 3, 4} {
+		for _, chunks := range []int{2, 3, 4} {
 			for _, k := range []int{2, 3, 5, 16} {
 				for si, shards := range []int{4, 7, 16} {
 					mask := masks[si%len(masks)]
-					name := fmt.Sprintf("w%d_a%d_k%d_s%d", workers, arity, k, shards)
+					name := fmt.Sprintf("w%d_a%d_k%d_s%d", workers, chunks, k, shards)
 					t.Run(name, func(t *testing.T) {
 						oracle := newEpochComp(shards, mask)
 						sc := NewClock()
@@ -156,12 +157,16 @@ func TestEpochBatchEquivalence(t *testing.T) {
 
 						ec := newEpochComp(shards, mask)
 						pc := NewParallelClock(workers)
-						pc.SetBarrierArity(arity)
 						pc.SetEpochBatch(k)
 						pc.Register(ec)
 						defer pc.Close()
-						if done := pc.Run(slots); done != slots {
-							t.Fatalf("batched run executed %d slots, want %d", done, slots)
+						var wantEpochs int64
+						for c := 0; c < chunks; c++ {
+							n := int64((c+1)*slots/chunks - c*slots/chunks)
+							if done := pc.Run(n); done != n {
+								t.Fatalf("batched run executed %d slots, want %d", done, n)
+							}
+							wantEpochs += (n + int64(k) - 1) / int64(k)
 						}
 						if got, want := ec.snapshot(), oracle.snapshot(); got != want {
 							t.Fatalf("batched state diverged:\n got %s\nwant %s", got, want)
@@ -171,15 +176,21 @@ func TestEpochBatchEquivalence(t *testing.T) {
 								pc.Now(), pc.SlotsRun(), sc.Now(), sc.SlotsRun())
 						}
 						// Non-vacuity: batching must actually have engaged.
-						if ec.epCalls == 0 {
-							t.Fatal("FinishEpoch never ran — plan did not batch")
+						if ec.epCalls != wantEpochs {
+							t.Fatalf("FinishEpoch ran %d times, want %d (K=%d over %d chunks)", ec.epCalls, wantEpochs, k, chunks)
 						}
 						if ec.epoched != slots {
 							t.Fatalf("episodes covered %d slots, want %d", ec.epoched, slots)
 						}
-						wantEpochs := int64((slots + k - 1) / k)
+						if workers == 1 {
+							if pc.BarrierCrossings() != 0 || pc.Epochs() != 0 {
+								t.Fatalf("inline run counted %d crossings, %d epochs; want none",
+									pc.BarrierCrossings(), pc.Epochs())
+							}
+							return
+						}
 						if pc.Epochs() != wantEpochs {
-							t.Fatalf("Epochs() = %d, want %d (K=%d over %d slots)", pc.Epochs(), wantEpochs, k, slots)
+							t.Fatalf("Epochs() = %d, want %d (K=%d over %d chunks)", pc.Epochs(), wantEpochs, k, chunks)
 						}
 						if pc.BarrierCrossings() != 2*wantEpochs {
 							t.Fatalf("BarrierCrossings() = %d, want %d (2 per episode)",
@@ -231,8 +242,8 @@ func TestEpochEpisodeTruncation(t *testing.T) {
 	}
 }
 
-// TestEpochBatchDisabled pins SetEpochBatch(1): the classic
-// slot-at-a-time body, one bookkeeping round per slot.
+// TestEpochBatchDisabled pins SetEpochBatch(1): one-slot episodes, one
+// bookkeeping round per slot.
 func TestEpochBatchDisabled(t *testing.T) {
 	ec := newEpochComp(8, MaskAll)
 	pc := NewParallelClock(2)
@@ -249,7 +260,7 @@ func TestEpochBatchDisabled(t *testing.T) {
 }
 
 // TestEpochNonBatchablePlan: one plain serial ticker anywhere in the
-// plan must force the classic body (and still match the serial oracle).
+// plan must force one-slot episodes (and still match the serial oracle).
 func TestEpochNonBatchablePlan(t *testing.T) {
 	run := func(eng Engine) (string, []Slot) {
 		ec := newEpochComp(6, MaskAll)
@@ -352,8 +363,8 @@ func TestEpochSkipAheadAtEpisodeEdges(t *testing.T) {
 }
 
 // TestEpochPoisonPropagation: a panic inside a batched episode must
-// poison the tree barrier, unwind every worker, and re-raise the
-// original value on the caller — same contract as the classic body.
+// poison the barrier, unwind every worker, and re-raise the original
+// value on the caller — same contract as an unbatched run.
 func TestEpochPoisonPropagation(t *testing.T) {
 	for _, workers := range []int{2, 4} {
 		func() {
@@ -423,40 +434,27 @@ func TestWorkersAutoDecisionTable(t *testing.T) {
 	}
 }
 
-// TestBarrierSpinsTunable covers the option and env-value resolution
-// plus the idle-engine regression: with a tiny spin bound every parked
-// worker must reach the cond-block path (sleeping on the pool gate)
-// shortly after a run returns — an idle engine consumes no CPU.
+// TestBarrierSpinsTunable is the idle-engine regression: with a tiny
+// spin bound (the unexported test-only override) every parked worker
+// must reach the cond-block path (sleeping on the pool gate) shortly
+// after a run returns — an idle engine consumes no CPU.
 func TestBarrierSpinsTunable(t *testing.T) {
-	if got := parseBarrierSpins(""); got != defaultBarrierSpins {
-		t.Fatalf("empty env resolved to %d, want default %d", got, defaultBarrierSpins)
-	}
-	if got := parseBarrierSpins("junk"); got != defaultBarrierSpins {
-		t.Fatalf("junk env resolved to %d, want default %d", got, defaultBarrierSpins)
-	}
-	if got := parseBarrierSpins("-3"); got != defaultBarrierSpins {
-		t.Fatalf("negative env resolved to %d, want default %d", got, defaultBarrierSpins)
-	}
-	if got := parseBarrierSpins("512"); got != 512 {
-		t.Fatalf("env 512 resolved to %d", got)
-	}
-
 	const workers = 4
 	pc := NewParallelClock(workers)
-	pc.SetBarrierSpins(1) // force the cond-block path almost immediately
+	pc.spins = 1 // force the cond-block path almost immediately
 	pc.Register(newEpochComp(8, MaskAll))
 	defer pc.Close()
 	pc.Run(12)
-	if pc.pool.spins != 1 {
-		t.Fatalf("pool built with spins=%d, want the tuned 1", pc.pool.spins)
+	if pc.pool.bar.spins != 1 {
+		t.Fatalf("pool built with spins=%d, want the tuned 1", pc.pool.bar.spins)
 	}
 	// Between runs the workers park on the pool gate; with spins=1 they
 	// must all end up blocked on the condition variable.
 	deadline := time.Now().Add(5 * time.Second)
-	for pc.pool.bar.sleeping() != workers-1 {
+	for pc.pool.bar.sleepers.Load() != workers-1 {
 		if time.Now().After(deadline) {
 			t.Fatalf("idle engine: %d/%d workers blocked on the cond path; the rest are spinning",
-				pc.pool.bar.sleeping(), workers-1)
+				pc.pool.bar.sleepers.Load(), workers-1)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -466,53 +464,22 @@ func TestBarrierSpinsTunable(t *testing.T) {
 	}
 }
 
-// TestBarrierArityShapesPool pins the tunable and the automatic pick.
-func TestBarrierArityShapesPool(t *testing.T) {
-	if pickArity(2) != 2 || pickArity(4) != 2 || pickArity(5) != 3 || pickArity(9) != 3 || pickArity(10) != 4 {
-		t.Fatalf("pickArity thresholds moved: %d %d %d %d %d",
-			pickArity(2), pickArity(4), pickArity(5), pickArity(9), pickArity(10))
-	}
-	pc := NewParallelClock(6)
-	pc.SetBarrierArity(4)
-	pc.Register(newEpochComp(12, MaskAll))
-	defer pc.Close()
-	pc.Run(3)
-	if pc.pool.arity != 4 {
-		t.Fatalf("pool arity %d, want the tuned 4", pc.pool.arity)
-	}
-	// Retuning rebuilds the pool on the next run.
-	pc.SetBarrierArity(2)
-	pc.Run(3)
-	if pc.pool.arity != 2 {
-		t.Fatalf("pool arity %d after retune, want 2", pc.pool.arity)
-	}
-}
-
-// TestTreeNodePadding pins the cache-line layout at runtime (the
-// structlayout cfmlint pass pins it statically).
-func TestTreeNodePadding(t *testing.T) {
-	if sz := unsafe.Sizeof(treeNode{}); sz%64 != 0 || sz == 0 {
-		t.Fatalf("treeNode is %d bytes; want a nonzero multiple of the 64-byte cache line", sz)
-	}
-}
-
-// FuzzEpochSchedule drives arbitrary (component mix, workers, arity, K,
+// FuzzEpochSchedule drives arbitrary (component mix, workers, K,
 // chunked budgets) through the batched engine against the serial
 // oracle. Specs build a fleet of epoch-safe shardables with varying
 // shard counts and phase masks; one spec bit can add a plain serial
-// ticker, flipping the plan to the classic body — both paths must match
-// the oracle exactly.
+// ticker, flipping the plan to one-slot episodes — both must match the
+// oracle exactly, pooled or inline (workers=1).
 func FuzzEpochSchedule(f *testing.F) {
-	f.Add([]byte{0x13, 0x25}, uint8(2), uint8(2), uint8(4), uint8(23), false)
-	f.Add([]byte{0x07}, uint8(4), uint8(4), uint8(16), uint8(40), false)
-	f.Add([]byte{0x31, 0x11, 0x02}, uint8(3), uint8(3), uint8(3), uint8(10), true)
-	f.Add([]byte{0xff, 0xfe}, uint8(8), uint8(2), uint8(2), uint8(7), false)
-	f.Fuzz(func(t *testing.T, spec []byte, workers, arity, k, slots uint8, addSerial bool) {
+	f.Add([]byte{0x13, 0x25}, uint8(2), uint8(4), uint8(23), false)
+	f.Add([]byte{0x07}, uint8(4), uint8(16), uint8(40), false)
+	f.Add([]byte{0x31, 0x11, 0x02}, uint8(3), uint8(3), uint8(10), true)
+	f.Add([]byte{0xff, 0xfe}, uint8(0), uint8(2), uint8(7), false)
+	f.Fuzz(func(t *testing.T, spec []byte, workers, k, slots uint8, addSerial bool) {
 		if len(spec) == 0 || len(spec) > 12 {
 			t.Skip()
 		}
-		w := int(workers)%7 + 2  // 2..8
-		ar := int(arity)%3 + 2   // 2..4
+		w := int(workers)%8 + 1  // 1..8
 		kk := int(k)%17 + 2      // 2..18
 		n := int64(slots)%50 + 1 // 1..50
 		mid := n / 2
@@ -548,7 +515,6 @@ func FuzzEpochSchedule(f *testing.F) {
 		sc.Run(n)
 
 		pc := NewParallelClock(w)
-		pc.SetBarrierArity(ar)
 		pc.SetEpochBatch(kk)
 		fleet := mkFleet(pc)
 		defer pc.Close()
@@ -559,10 +525,13 @@ func FuzzEpochSchedule(f *testing.F) {
 			t.Fatalf("chunked runs executed %d slots, want %d", done, n)
 		}
 		if got, want := snap(fleet), snap(oracle); got != want {
-			t.Fatalf("spec=%x w=%d arity=%d K=%d slots=%d serial=%v diverged:\n got %s\nwant %s",
-				spec, w, ar, kk, n, addSerial, got, want)
+			t.Fatalf("spec=%x w=%d K=%d slots=%d serial=%v diverged:\n got %s\nwant %s",
+				spec, w, kk, n, addSerial, got, want)
 		}
-		if !addSerial {
+		if w == 1 && pc.BarrierCrossings() != 0 {
+			t.Fatalf("inline run counted %d barrier crossings", pc.BarrierCrossings())
+		}
+		if w > 1 && !addSerial {
 			// The all-shardable plan must actually have batched (unless a
 			// 1-slot chunk degenerated every episode, which K>=2 and n>=2
 			// avoid for the second chunk when n-mid >= 2).

@@ -41,32 +41,35 @@ import (
 //
 // Execution model: a pool of persistent workers is spawned lazily at
 // the first parallel run and parked on the pool gate between runs — a
-// run costs no goroutine creation. All synchronization is one
-// combining-tree barrier (treebarrier.go): each worker spins on flags
-// in its own cache-line-padded tree node, arrivals combine up the tree,
-// and release propagates down by one remote write per edge, so a
-// crossing costs O(1) remote references per worker instead of fanning
-// every worker into one shared counter. Waiters spin briefly and then
-// block on a condition variable, so an idle engine consumes no CPU.
-// Barriers are inserted by the compiler only where the schedule
-// actually needs them: before parallel shard work (so it cannot
-// overtake preceding work) and before serial work that follows parallel
-// work. A schedule whose slot is one sharded segment plus its finalizer
-// costs two barrier crossings per slot, not eight.
+// run costs no goroutine creation. Every worker walks the same SPMD
+// episode loop (body): an episode is a slot range [from, to) ticked
+// through every phase, followed by a settle crossing, worker 0's
+// single-threaded bookkeeping, and a control-word crossing that
+// launches the next episode. All synchronization is one central
+// sense-reversing barrier: waiters spin briefly on a generation word
+// and then block on a condition variable, so an idle engine consumes
+// no CPU. Inside an unbatched (one-slot) episode, barriers are inserted
+// by the compiler only where the schedule actually needs them: before
+// parallel shard work (so it cannot overtake preceding work) and before
+// serial work that follows parallel work. A schedule whose slot is one
+// sharded segment plus its finalizer costs two crossings per slot.
 //
 // Epoch batching amortizes even those. When the compiled plan consists
 // exclusively of shard work by components that declare global shard
 // closure (EpochSafe) and whose finalizers can reconstruct the serial
-// fold order over a slot range (EpochFinisher), consecutive slots fuse
-// into one barrier *episode*: each worker ticks its shard range through
-// every phase of up to K slots with no synchronization at all, then the
-// fleet settles once, worker 0 folds the whole episode's finalization
-// and clock bookkeeping, and one control-word crossing launches the
-// next episode — two crossings per K slots instead of per slot.
-// Skip-ahead jumps and Stop resolve at episode edges; a Run budget
-// truncates the final episode, so engine state between runs is always
-// at an episode boundary (which is why Checkpoint — legal only between
-// runs — never observes a half-finished episode; see state.go).
+// fold order over a slot range (EpochFinisher), an episode spans up to
+// K slots: each worker ticks its shard range through every phase of
+// every slot with no in-episode synchronization at all, then the fleet
+// settles once and worker 0 folds the whole episode's finalization —
+// two crossings per K slots instead of per slot. Skip-ahead jumps and
+// Stop resolve at episode edges; a Run budget truncates the final
+// episode, so engine state between runs is always at an episode
+// boundary (which is why Checkpoint — legal only between runs — never
+// observes a half-finished episode; see state.go).
+//
+// One worker (workers == 1, a plan with no shard work, or Step) runs
+// the very same loop inline on a one-worker barrier, with no goroutines
+// and no crossings counted.
 
 // Shardable is the optional interface by which a composite Ticker
 // declares conflict-free shard affinity. Shards returns the number of
@@ -135,15 +138,6 @@ type EpochSafeTicker interface {
 // nothing here, but the equivalence suite pins every shipped pairing.
 type EpochFinisher interface {
 	FinishEpoch(from, to Slot)
-}
-
-// PhaseAware is the slice-valued predecessor of PhaseMasker: a
-// component lists the phases in which it does any work and both engines
-// omit it from the other phases' schedules entirely. Tick and TickShard
-// MUST be no-ops in phases not listed. New code should implement
-// PhaseMasker; when both are present the mask wins.
-type PhaseAware interface {
-	ActivePhases() []Phase
 }
 
 // SerialTick executes a Shardable exactly as the engines do: every
@@ -234,14 +228,11 @@ type ParallelClock struct {
 	now     Slot
 	tickers []tickerEntry
 	// cfgWorkers is the constructor argument (WorkersAuto = resolve per
-	// plan); workers is the resolved count for the current plan.
+	// plan); workers is the resolved count for the current plan (1 when
+	// the plan has no shard work).
 	cfgWorkers int
 	workers    int
-	// Barrier tunables: cfgArity 0 = pick from worker count; cfgSpins
-	// 0 = CFM_BARRIER_SPINS env or the default.
-	cfgArity int
-	cfgSpins int
-	plan     [numPhases][]segment
+	plan       [numPhases][]segment
 	// ctrlBar makes workers sync before worker 0's end-of-slot
 	// bookkeeping (needed when the slot's last work was parallel).
 	ctrlBar bool
@@ -249,40 +240,42 @@ type ParallelClock struct {
 	stopped atomic.Bool
 	// Epoch batching: epochK is the SetEpochBatch argument (EpochAuto =
 	// auto); batchable is the compiled predicate; epochFins the compiled
-	// finalizer list; slotCrossings the crossings one classic slot costs
-	// (for the crossings counter).
+	// finalizer list; slotCrossings the crossings one unbatched slot
+	// costs (for the crossings counter).
 	epochK        int
 	batchable     bool
 	epochFins     []epochFin
 	slotCrossings int
-	// Per-run state, published to workers through the pool gate.
+	// Per-run state, written by the owner before the pool gate and by
+	// worker 0 between the settle and control-word crossings; read by
+	// every worker after them.
 	runN     int64
 	runDone  int64
 	runPred  func() bool
-	predHit  bool
-	useEpoch bool
-	epochLen int // slots in the episode being launched (useEpoch only)
-	// cont is the worker control word: written by worker 0 between the
-	// end-of-slot (or end-of-episode) barriers, read by everyone after
-	// them.
-	cont bool
+	batched  bool // this run's episodes span up to epochCap slots
+	from, to Slot // the episode being launched
+	cont     bool // another episode follows
 	// Panic collection.
 	panicMu  sync.Mutex
 	panicVal any
-	// Persistent worker pool (nil until the first parallel run).
+	// solo is the one-worker barrier of inline runs; pool holds the
+	// persistent workers (nil until the first pooled run). spins, when
+	// nonzero, overrides barrierSpins for the next pool (tests only).
+	solo   barrier
 	pool   *workerPool
 	sense0 uint64 // worker 0's barrier sense, persists across runs
+	spins  int
 	// skipAhead enables the event-horizon clock; hplan is the compiled
-	// horizon-fold list. Only worker 0 reads them (in the end-of-slot
-	// bookkeeping, between the control barriers); the other workers pick
-	// a jump up by re-reading pc.now after the control word barrier.
+	// horizon-fold list. Only worker 0 reads them, in the between-episode
+	// bookkeeping; a jump reaches the other workers as the next
+	// episode's from.
 	skipAhead bool
 	hplan     []horizonEntry
 	// extras are the harness-attached Staters snapshotted alongside the
 	// registered components (see AttachState).
 	extras []extraState
 	// Stats. crossings and epochs count this engine's lifetime barrier
-	// episodes during parallel runs (the pool gate is not counted); they
+	// episodes during pooled runs (the pool gate is not counted); they
 	// are observability counters, not simulation state, so — like
 	// nothing else would fit the frozen snapshot format — they are NOT
 	// checkpointed and restart at zero on a restored engine.
@@ -294,15 +287,12 @@ type ParallelClock struct {
 }
 
 // workerPool holds the persistent worker goroutines of one resolved
-// (worker count, barrier shape). Workers park on bar between runs; the
-// owner releases them by arriving at the same barrier.
+// worker count. Workers park on bar between runs; the owner releases
+// them by arriving at the same barrier.
 type workerPool struct {
-	n     int // total workers including the caller (worker 0)
-	arity int
-	spins int
-	bar   treeBarrier
-	stop  bool // written by the owner before the release that retires the pool
-	wg    sync.WaitGroup
+	bar  barrier
+	stop bool // written by the owner before the release that retires the pool
+	wg   sync.WaitGroup
 }
 
 // NewParallelClock returns a parallel engine at slot 0. workers > 0
@@ -315,14 +305,17 @@ func NewParallelClock(workers int) *ParallelClock {
 	if workers < 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	return &ParallelClock{cfgWorkers: workers}
+	pc := &ParallelClock{cfgWorkers: workers}
+	pc.solo.init(1, 0)
+	return pc
 }
 
 // Workers returns the configured worker count (WorkersAuto when the
 // engine sizes itself).
 func (pc *ParallelClock) Workers() int { return pc.cfgWorkers }
 
-// Now returns the current slot (the slot being executed during a tick).
+// Now returns the current slot (the first slot of the episode being
+// executed during a tick).
 func (pc *ParallelClock) Now() Slot { return pc.now }
 
 // SlotsRun reports how many complete slots have been executed, skipped
@@ -338,24 +331,24 @@ func (pc *ParallelClock) SlotsFired() int64 { return pc.slotsFired }
 func (pc *ParallelClock) Jumps() int64 { return pc.jumps }
 
 // BarrierCrossings reports how many barrier crossings the full worker
-// complement has paid during parallel runs over this engine's lifetime
-// (serial-fallback slots cost none; the pool gate is not counted). Read
-// from the owner goroutine, between runs. Not checkpointed.
+// complement has paid during pooled runs over this engine's lifetime
+// (inline one-worker runs cost none; the pool gate is not counted).
+// Read from the owner goroutine, between runs. Not checkpointed.
 func (pc *ParallelClock) BarrierCrossings() int64 { return pc.crossings }
 
 // Epochs reports how many barrier episodes (batched multi-slot episodes
-// AND classic single-slot rounds) parallel runs have executed. The
+// AND unbatched single-slot ones) pooled runs have executed. The
 // batching win is visible as Epochs << SlotsFired. Read from the owner
 // goroutine, between runs. Not checkpointed.
 func (pc *ParallelClock) Epochs() int64 { return pc.epochs }
 
 // SetSkipAhead enables or disables the event-horizon clock. Call between
 // runs, from the owner goroutine. The per-component horizons are folded
-// single-threaded by worker 0 between slots; workers observe a jump as a
-// re-published pc.now through the end-of-slot barrier, so the phase
-// schedule itself is untouched and the simulated observables are
-// bit-identical to dense ticking. Under epoch batching, horizons are
-// folded at episode edges only.
+// single-threaded by worker 0 between episodes; workers observe a jump
+// as the next episode's first slot, so the phase schedule itself is
+// untouched and the simulated observables are bit-identical to dense
+// ticking. Under epoch batching, horizons are folded at episode edges
+// only.
 func (pc *ParallelClock) SetSkipAhead(on bool) { pc.skipAhead = on }
 
 // SetEpochBatch bounds the episode length of epoch batching: EpochAuto
@@ -370,23 +363,6 @@ func (pc *ParallelClock) SetEpochBatch(k int) {
 		k = 1
 	}
 	pc.epochK = k
-}
-
-// SetBarrierArity overrides the combining-tree fan-in (clamped to
-// 2..barrierMaxArity; 0 restores the automatic pick from the worker
-// count). Call between runs, from the owner goroutine.
-func (pc *ParallelClock) SetBarrierArity(arity int) {
-	pc.cfgArity = arity
-	pc.planned = false
-}
-
-// SetBarrierSpins overrides how long a barrier waiter spins before
-// blocking on the condition variable (0 restores the CFM_BARRIER_SPINS
-// env override or the built-in default). Call between runs, from the
-// owner goroutine.
-func (pc *ParallelClock) SetBarrierSpins(spins int) {
-	pc.cfgSpins = spins
-	pc.planned = false
 }
 
 // Register adds a component at priority 0.
@@ -507,7 +483,7 @@ func (pc *ParallelClock) compile() {
 	// post-shard barrier.
 	pendingSerial, pendingPar := false, false
 	sync := func() { pendingSerial, pendingPar = false, false }
-	crossings := 1 // the control-word barrier every classic slot ends with
+	crossings := 1 // the control-word barrier every unbatched slot ends with
 	for ph := Phase(0); ph < numPhases; ph++ {
 		for i := range pc.plan[ph] {
 			seg := &pc.plan[ph][i]
@@ -555,6 +531,9 @@ func (pc *ParallelClock) compile() {
 		} else {
 			pc.workers = 1
 		}
+	}
+	if maxShards == 0 {
+		pc.workers = 1 // nothing to share out: run inline
 	}
 	pc.planned = true
 }
@@ -612,17 +591,6 @@ func (pc *ParallelClock) epochCap() int64 {
 	}
 }
 
-// nextEpochLen sizes the next episode: the configured cap, truncated to
-// the remaining run budget so episodes never span a Run call (keeping
-// between-run engine state on an episode boundary).
-func (pc *ParallelClock) nextEpochLen() int {
-	k := pc.epochCap()
-	if rem := pc.runN - pc.runDone; rem < k {
-		k = rem
-	}
-	return int(k)
-}
-
 // runShards executes the global shard range [lo, hi) of a merged
 // parallel segment, skipping parked units.
 func (seg *segment) runShards(t Slot, ph Phase, lo, hi int) {
@@ -655,35 +623,9 @@ func (seg *segment) finish(t Slot, ph Phase) {
 	}
 }
 
-// stepSerial executes one slot of the compiled schedule inline — the
-// workers == 1 path and the implementation of Step.
-func (pc *ParallelClock) stepSerial() {
-	t := pc.now
-	for ph := Phase(0); ph < numPhases; ph++ {
-		for i := range pc.plan[ph] {
-			seg := &pc.plan[ph][i]
-			if seg.serial != nil {
-				for _, e := range seg.serial {
-					if e.id.Parked() {
-						continue
-					}
-					e.t.Tick(t, ph)
-				}
-				continue
-			}
-			seg.runShards(t, ph, 0, seg.total)
-			seg.finish(t, ph)
-		}
-	}
-	pc.now++
-	pc.slotsRun++
-	pc.slotsFired++
-}
-
 // jump advances the clock over the quiescent stretch ending at the
 // global next-event slot, bounded by budget, returning the slots
-// skipped. Must run single-threaded between fully settled slots (the
-// serial fallback loop, or worker 0 between the control barriers).
+// skipped. Must run single-threaded between fully settled episodes.
 func (pc *ParallelClock) jump(budget int64) int64 {
 	h := foldHorizons(pc.hplan, pc.now)
 	if h <= pc.now {
@@ -699,21 +641,24 @@ func (pc *ParallelClock) jump(budget int64) int64 {
 	return n
 }
 
-// Step executes exactly one slot (inline, without waking workers —
-// identical semantics to a one-slot Run by the equivalence guarantee).
+// Step executes exactly one slot: a one-slot unbatched episode run
+// inline, with no skip-ahead jump and no Stop check — identical
+// semantics to a one-slot Run by the equivalence guarantee.
 func (pc *ParallelClock) Step() {
 	if !pc.planned {
 		pc.compile()
 	}
-	pc.stepSerial()
+	pc.runN, pc.runDone, pc.runPred, pc.batched = 1, 0, nil, false
+	pc.from, pc.to = pc.now, pc.now+1
+	var sense uint64
+	pc.body(0, &pc.solo, &sense)
 }
 
 // Run executes up to n slots, stopping early if Stop is called. It
 // returns the number of slots actually executed.
 func (pc *ParallelClock) Run(n int64) int64 {
 	pc.stopped.Store(false)
-	done, _ := pc.run(n, nil)
-	return done
+	return pc.run(n, nil)
 }
 
 // RunUntil executes slots until pred returns true (checked between
@@ -721,58 +666,143 @@ func (pc *ParallelClock) Run(n int64) int64 {
 // predicate check forces slot-at-a-time execution: epoch batching is
 // bypassed for the duration of the call.
 func (pc *ParallelClock) RunUntil(pred func() bool, budget int64) (int64, bool) {
-	done, _ := pc.run(budget, pred)
-	return done, pred()
+	return pc.run(budget, pred), pred()
 }
 
-// hasParallelWork reports whether the schedule contains any shard work.
-func (pc *ParallelClock) hasParallelWork() bool {
-	for ph := Phase(0); ph < numPhases; ph++ {
-		for i := range pc.plan[ph] {
-			if pc.plan[ph][i].units != nil {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-func (pc *ParallelClock) run(n int64, pred func() bool) (int64, bool) {
+func (pc *ParallelClock) run(n int64, pred func() bool) int64 {
 	if !pc.planned {
 		pc.compile()
 	}
-	if pc.workers == 1 || !pc.hasParallelWork() {
-		var done int64
-		for done < n {
-			if pred != nil {
-				if pred() {
-					return done, true
-				}
-			} else if pc.stopped.Load() {
-				break
-			}
-			if pc.skipAhead {
-				done += pc.jump(n - done)
-				if done >= n {
-					break
-				}
-			}
-			pc.stepSerial()
-			done++
-			// Match Clock.Run: Stop takes effect at the end of the slot.
-			if pred == nil && pc.stopped.Load() {
-				break
+	pc.runN, pc.runDone, pc.runPred = n, 0, pred
+	pc.batched = pc.batchable && pred == nil && pc.epochCap() > 1
+	if pc.launch() {
+		if pc.workers == 1 {
+			var sense uint64
+			pc.body(0, &pc.solo, &sense)
+		} else {
+			pc.runWorkers()
+		}
+	}
+	pc.runPred = nil
+	return pc.runDone
+}
+
+// launch is the between-episode half of worker 0's bookkeeping (also
+// run by the owner before the first episode): it resolves the budget,
+// the RunUntil predicate or Stop, and any skip-ahead jump, then sizes
+// the next episode — one slot unbatched, else the episode cap truncated
+// to the remaining budget so episodes never span a Run call. It reports
+// whether another episode runs.
+func (pc *ParallelClock) launch() bool {
+	if pc.runDone >= pc.runN {
+		return false
+	}
+	if pc.runPred != nil {
+		if pc.runPred() {
+			return false
+		}
+	} else if pc.stopped.Load() {
+		return false
+	}
+	if pc.skipAhead {
+		if pc.runDone += pc.jump(pc.runN - pc.runDone); pc.runDone >= pc.runN {
+			return false
+		}
+	}
+	k := int64(1)
+	if pc.batched {
+		k = min(pc.epochCap(), pc.runN-pc.runDone)
+	}
+	pc.from, pc.to = pc.now, pc.now+Slot(k)
+	return true
+}
+
+// endEpisode is worker 0's single-threaded bookkeeping once an episode
+// has settled everywhere: the episode finalizers of a batched run, the
+// clock and counters, then launch.
+func (pc *ParallelClock) endEpisode(pooled bool) bool {
+	if pc.batched {
+		for _, f := range pc.epochFins {
+			if !f.id.Parked() {
+				f.f.FinishEpoch(pc.from, pc.to)
 			}
 		}
-		return done, false
 	}
-	return pc.runWorkers(n, pred)
+	k := int64(pc.to - pc.from)
+	pc.now = pc.to
+	pc.slotsRun += k
+	pc.slotsFired += k
+	pc.runDone += k
+	if pooled {
+		pc.epochs++
+		if pc.batched {
+			pc.crossings += 2
+		} else {
+			pc.crossings += int64(pc.slotCrossings)
+		}
+	}
+	return pc.launch()
+}
+
+// body is the SPMD episode loop every worker executes, worker 0 on the
+// owner's goroutine. Each worker ticks its share of every parallel
+// segment through every phase of every slot in [from, to); worker 0
+// alone runs serial segments, finalizers, and the bookkeeping. An
+// unbatched episode is one slot and honors the compiled in-slot
+// barriers; a batched one has none, because the plan is all EpochSafe
+// shard work and nothing a worker computes is visible to another
+// worker's shards until the episode settles. Every episode ends with a
+// settle crossing (when work may still be in flight elsewhere) and a
+// control-word crossing that publishes the next episode.
+func (pc *ParallelClock) body(w int, bar *barrier, sense *uint64) {
+	inSlot := !pc.batched
+	for {
+		// to is read once: worker 0 republishes it in endEpisode while
+		// the others may still be leaving the episode.
+		for t, to := pc.from, pc.to; t < to; t++ {
+			for ph := Phase(0); ph < numPhases; ph++ {
+				for i := range pc.plan[ph] {
+					seg := &pc.plan[ph][i]
+					if inSlot && seg.barBefore {
+						bar.await(sense)
+					}
+					if seg.serial != nil {
+						if w == 0 {
+							for _, e := range seg.serial {
+								if !e.id.Parked() {
+									e.t.Tick(t, ph)
+								}
+							}
+						}
+						continue
+					}
+					seg.runShards(t, ph, w*seg.total/bar.n, (w+1)*seg.total/bar.n)
+					if inSlot && seg.anyFin {
+						bar.await(sense)
+						if w == 0 {
+							seg.finish(t, ph)
+						}
+					}
+				}
+			}
+		}
+		if pc.ctrlBar || !inSlot {
+			bar.await(sense) // settle: the episode's shard work is done everywhere
+		}
+		if w == 0 {
+			pc.cont = pc.endEpisode(bar.n > 1)
+		}
+		bar.await(sense) // control word and next episode published
+		if !pc.cont {
+			return
+		}
+	}
 }
 
 // Close retires the persistent worker pool. It is optional — an
 // abandoned clock's workers stay blocked on a condition variable and
 // cost no CPU — but lets tests and benchmarks keep the goroutine count
-// flat. The clock remains usable; the next parallel run respawns the
+// flat. The clock remains usable; the next pooled run respawns the
 // pool.
 func (pc *ParallelClock) Close() {
 	p := pc.pool
@@ -781,34 +811,19 @@ func (pc *ParallelClock) Close() {
 	}
 	pc.pool = nil
 	p.stop = true
-	p.bar.await(0, &pc.sense0) // release the gate so workers observe stop
+	p.bar.await(&pc.sense0) // release the gate so workers observe stop
 	p.wg.Wait()
 }
 
-// barrierShape resolves the configured tree arity and spin bound for
-// the current worker count.
-func (pc *ParallelClock) barrierShape() (arity, spins int) {
-	arity = pc.cfgArity
-	if arity == 0 {
-		arity = pickArity(pc.workers)
-	}
-	spins = pc.cfgSpins
-	if spins == 0 {
-		spins = envBarrierSpins()
-	}
-	return arity, spins
-}
-
-// ensurePool returns a worker pool sized and shaped for the current
-// plan, retiring a stale one first.
+// ensurePool returns a worker pool sized for the current plan, retiring
+// a stale one first.
 func (pc *ParallelClock) ensurePool() *workerPool {
-	arity, spins := pc.barrierShape()
-	if p := pc.pool; p != nil && p.n == pc.workers && p.arity == arity && p.spins == spins {
+	if p := pc.pool; p != nil && p.bar.n == pc.workers {
 		return p
 	}
 	pc.Close()
-	p := &workerPool{n: pc.workers, arity: arity, spins: spins}
-	p.bar.init(pc.workers, arity, spins)
+	p := &workerPool{}
+	p.bar.init(pc.workers, pc.spins)
 	pc.sense0 = 0
 	pc.pool = p
 	p.wg.Add(pc.workers - 1)
@@ -836,153 +851,13 @@ func (pc *ParallelClock) recordPanic(r any) {
 	pc.panicMu.Unlock()
 }
 
-// body is the SPMD slot loop every worker executes during a classic
-// (slot-at-a-time) run. Barriers follow the compiled placement,
-// identically on every worker; worker 0 alone runs serial segments,
-// finalizers, predicate checks, and the slot-count bookkeeping.
-func (pc *ParallelClock) body(w int, bar *treeBarrier, sense *uint64) {
-	t := pc.now
-	for {
-		for ph := Phase(0); ph < numPhases; ph++ {
-			for i := range pc.plan[ph] {
-				seg := &pc.plan[ph][i]
-				if seg.barBefore {
-					bar.await(w, sense)
-				}
-				if seg.serial != nil {
-					if w == 0 {
-						for _, e := range seg.serial {
-							if e.id.Parked() {
-								continue
-							}
-							e.t.Tick(t, ph)
-						}
-					}
-					continue
-				}
-				lo := w * seg.total / pc.workers
-				hi := (w + 1) * seg.total / pc.workers
-				seg.runShards(t, ph, lo, hi)
-				if seg.anyFin {
-					bar.await(w, sense)
-					if w == 0 {
-						seg.finish(t, ph)
-					}
-				}
-			}
-		}
-		t++
-		if pc.ctrlBar {
-			bar.await(w, sense) // slot's parallel work complete everywhere
-		}
-		if w == 0 {
-			pc.now = t
-			pc.slotsRun++
-			pc.slotsFired++
-			pc.runDone++
-			pc.crossings += int64(pc.slotCrossings)
-			pc.epochs++
-			cont := pc.runDone < pc.runN
-			if pc.runPred != nil {
-				if pc.runPred() {
-					pc.predHit = true
-					cont = false
-				}
-			} else if pc.stopped.Load() {
-				cont = false
-			}
-			if cont && pc.skipAhead {
-				// The slot is fully settled on every worker (the control
-				// barrier above) and only worker 0 is between barriers, so
-				// the horizon fold runs single-threaded. The jump is
-				// published through pc.now; workers re-sync t from it after
-				// the control-word barrier below.
-				if skipped := pc.jump(pc.runN - pc.runDone); skipped > 0 {
-					pc.runDone += skipped
-					cont = pc.runDone < pc.runN
-				}
-			}
-			pc.cont = cont
-		}
-		bar.await(w, sense) // control word (and any jump) published
-		if !pc.cont {
-			return
-		}
-		t = pc.now
-	}
-}
-
-// bodyEpoch is the SPMD episode loop of a batched run. Each worker
-// ticks its shard range through every phase of every slot in the
-// episode with no synchronization at all — legal because the plan is
-// all EpochSafe shard work, so nothing a worker computes is visible to
-// another worker's shards until the episode settles. Two crossings per
-// episode: settle (all shard work done, worker 0 folds finalizers and
-// bookkeeping) and the control word (continue/extent of the next
-// episode published).
-func (pc *ParallelClock) bodyEpoch(w int, bar *treeBarrier, sense *uint64) {
-	from := pc.now
-	k := pc.epochLen
-	for {
-		to := from + Slot(k)
-		for t := from; t < to; t++ {
-			for ph := Phase(0); ph < numPhases; ph++ {
-				for i := range pc.plan[ph] {
-					seg := &pc.plan[ph][i]
-					lo := w * seg.total / pc.workers
-					hi := (w + 1) * seg.total / pc.workers
-					seg.runShards(t, ph, lo, hi)
-				}
-			}
-		}
-		bar.await(w, sense) // episode settle: every shard of every slot done
-		if w == 0 {
-			for _, f := range pc.epochFins {
-				if f.id.Parked() {
-					continue
-				}
-				f.f.FinishEpoch(from, to)
-			}
-			n := int64(k)
-			pc.now = to
-			pc.slotsRun += n
-			pc.slotsFired += n
-			pc.runDone += n
-			pc.crossings += 2
-			pc.epochs++
-			cont := pc.runDone < pc.runN
-			if pc.stopped.Load() {
-				cont = false
-			}
-			if cont && pc.skipAhead {
-				// Episode fully settled everywhere; same single-threaded
-				// window as the classic body's jump.
-				if skipped := pc.jump(pc.runN - pc.runDone); skipped > 0 {
-					pc.runDone += skipped
-					cont = pc.runDone < pc.runN
-				}
-			}
-			if cont {
-				pc.epochLen = pc.nextEpochLen()
-			}
-			pc.cont = cont
-		}
-		bar.await(w, sense) // control word + next episode extent published
-		if !pc.cont {
-			return
-		}
-		from = pc.now
-		k = pc.epochLen
-	}
-}
-
 // workerLoop is the persistent worker body: park on the pool gate, run
-// the slot loop, repeat — until the pool is retired or poisoned. p.stop
-// may only be read right after the gate barrier (the owner writes it
-// before arriving there): checking it anywhere else races with Close —
-// a worker still waking from a run's final barrier could observe the
-// flag and exit without its gate arrival, deadlocking the owner's
-// gather.
+// the episode loop, repeat — until the pool is retired or poisoned.
+// p.stop may only be read right after the gate barrier (the owner
+// writes it before arriving there): checking it anywhere else races
+// with Close — a worker still waking from a run's final barrier could
+// observe the flag and exit without its gate arrival, deadlocking the
+// owner's wait.
 func (pc *ParallelClock) workerLoop(p *workerPool, w int) {
 	defer p.wg.Done()
 	var sense uint64
@@ -995,15 +870,11 @@ func (pc *ParallelClock) workerLoop(p *workerPool, w int) {
 					broken = true
 				}
 			}()
-			p.bar.await(w, &sense) // gate: owner arrives to start a run
+			p.bar.await(&sense) // gate: owner arrives to start a run
 			if p.stop {
 				return true, false
 			}
-			if pc.useEpoch {
-				pc.bodyEpoch(w, &p.bar, &sense)
-			} else {
-				pc.body(w, &p.bar, &sense)
-			}
+			pc.body(w, &p.bar, &sense)
 			return false, false
 		}()
 		if stop || broken {
@@ -1013,28 +884,13 @@ func (pc *ParallelClock) workerLoop(p *workerPool, w int) {
 }
 
 // runWorkers executes a run on the persistent pool: the caller becomes
-// worker 0, releases the gate, and walks the same slot loop as the
+// worker 0, releases the gate, and walks the same episode loop as the
 // workers. On a panic anywhere the barrier is poisoned, every worker
 // unwinds, the pool is discarded, and the original panic value is
 // re-raised on the caller.
-func (pc *ParallelClock) runWorkers(n int64, pred func() bool) (int64, bool) {
-	// Decide on the caller whether slot 0 runs at all.
-	if pred != nil && pred() {
-		return 0, true
-	}
-	if n <= 0 {
-		return 0, false
-	}
+func (pc *ParallelClock) runWorkers() {
 	p := pc.ensurePool()
-	pc.runN = n
-	pc.runDone = 0
-	pc.runPred = pred
-	pc.predHit = false
 	pc.panicVal = nil
-	pc.useEpoch = pc.batchable && pred == nil && pc.epochCap() > 1
-	if pc.useEpoch {
-		pc.epochLen = pc.nextEpochLen()
-	}
 	func() {
 		defer func() {
 			if r := recover(); r != nil {
@@ -1042,18 +898,98 @@ func (pc *ParallelClock) runWorkers(n int64, pred func() bool) (int64, bool) {
 				p.bar.poisonAndWake()
 			}
 		}()
-		p.bar.await(0, &pc.sense0) // release the gate
-		if pc.useEpoch {
-			pc.bodyEpoch(0, &p.bar, &pc.sense0)
-		} else {
-			pc.body(0, &p.bar, &pc.sense0)
-		}
+		p.bar.await(&pc.sense0) // release the gate
+		pc.body(0, &p.bar, &pc.sense0)
 	}()
-	pc.runPred = nil
 	if p.bar.poison.Load() {
 		p.wg.Wait()
 		pc.pool = nil
 		panic(fmt.Sprintf("sim: worker panic during parallel run at slot %d: %v", pc.now, pc.panicVal))
 	}
-	return pc.runDone, pc.predHit
+}
+
+// barrierSpins bounds the spin phase of a barrier wait before the
+// waiter blocks on the condition variable.
+const barrierSpins = 2048
+
+// barrier is a central sense-reversing barrier over n workers. Rounds
+// are generation-numbered: each worker keeps its own sense (the last
+// round it crossed), the last arrival of round g resets the arrival
+// count and publishes gen = g, and waiters wait for gen >= g — so a
+// fast worker re-arriving for round g+1 can never be confused with a
+// straggler of round g. The wait spins for a bounded number of rounds
+// and then blocks on cond, so an idle pool costs no CPU. The releaser
+// broadcasts only when sleepers says someone is actually blocked: the
+// store-gen-then-load-sleepers / increment-sleepers-then-recheck-gen
+// pair is sequentially consistent under sync/atomic, so the wakeup
+// cannot be lost. Panics propagate by poisoning: every spin and every
+// block recheck the poison flag.
+type barrier struct {
+	n        int
+	spins    int
+	arrived  atomic.Int64
+	gen      atomic.Uint64
+	poison   atomic.Bool
+	sleepers atomic.Int32 // waiters blocked on cond (not spinning)
+	mu       sync.Mutex
+	cond     sync.Cond
+}
+
+func (b *barrier) init(n, spins int) {
+	if spins < 1 {
+		spins = barrierSpins
+	}
+	b.n, b.spins = n, spins
+	b.cond.L = &b.mu
+}
+
+// await blocks until all n workers have arrived at round *sense+1, then
+// advances *sense. Every worker must call await the same number of
+// times.
+func (b *barrier) await(sense *uint64) {
+	g := *sense + 1
+	*sense = g
+	if b.arrived.Add(1) == int64(b.n) {
+		b.arrived.Store(0)
+		b.gen.Store(g)
+		if b.sleepers.Load() > 0 {
+			b.wake()
+		}
+		return
+	}
+	for i := 0; i < b.spins; i++ {
+		if b.gen.Load() >= g {
+			return
+		}
+		if b.poison.Load() {
+			panic(poisonedBarrier{})
+		}
+		runtime.Gosched()
+	}
+	b.mu.Lock()
+	b.sleepers.Add(1)
+	for b.gen.Load() < g && !b.poison.Load() {
+		b.cond.Wait()
+	}
+	b.sleepers.Add(-1)
+	b.mu.Unlock()
+	if b.gen.Load() < g {
+		panic(poisonedBarrier{}) // released by poison, not by the round
+	}
+}
+
+// wake broadcasts to blocked waiters. The empty critical section orders
+// the preceding store ahead of the broadcast for a waiter between its
+// final recheck and cond.Wait.
+func (b *barrier) wake() {
+	b.mu.Lock()
+	b.mu.Unlock() //nolint:staticcheck // empty critical section orders the store before the broadcast
+	b.cond.Broadcast()
+}
+
+// poisonAndWake marks the barrier poisoned and wakes every blocked
+// waiter so a worker panic propagates instead of deadlocking the pool.
+func (b *barrier) poisonAndWake() {
+	b.poison.Store(true)
+	b.wake()
 }

@@ -15,11 +15,11 @@
 //	PhaseUpdate   ATTs shift, directories settle, statistics accumulate
 //
 // Components implement Ticker and may narrow the phases they are invoked
-// for with PhaseMask (or the older ActivePhases); both engines compile a
-// per-phase schedule of only the interested components. Components that
-// go fully quiescent can additionally park themselves on the engine's
-// idle list (see Idler) and be woken by whichever component next touches
-// them, so a drained subsystem costs nothing per slot.
+// for with PhaseMask; both engines compile a per-phase schedule of only
+// the interested components. Components that go fully quiescent can
+// additionally park themselves on the engine's idle list (see Idler) and
+// be woken by whichever component next touches them, so a drained
+// subsystem costs nothing per slot.
 package sim
 
 import (
@@ -162,14 +162,11 @@ type PhaseMasker interface {
 	PhaseMask() PhaseMask
 }
 
-// maskOf returns the phases a ticker participates in, consulting
-// PhaseMasker first and the older ActivePhases form second.
+// maskOf returns the phases a ticker participates in: its PhaseMask,
+// or every phase when it does not implement PhaseMasker.
 func maskOf(t Ticker) PhaseMask {
 	if pm, ok := t.(PhaseMasker); ok {
 		return pm.PhaseMask() & MaskAll
-	}
-	if pa, ok := t.(PhaseAware); ok {
-		return MaskOf(pa.ActivePhases()...)
 	}
 	return MaskAll
 }
@@ -290,12 +287,6 @@ type Engine interface {
 	// SlotsFired reports how many slots actually executed their phase
 	// plans; SlotsRun - SlotsFired is the number of slots skipped.
 	SlotsFired() int64
-	// SetEpochBatch bounds epoch batching: EpochAuto (0, default) lets
-	// the engine batch a batchable plan automatically, 1 disables
-	// batching, k > 1 caps episodes at k slots. A no-op on the serial
-	// engine. Off or on, the simulation is bit-identical; only Stop and
-	// skip-ahead granularity change (episode edges instead of slots).
-	SetEpochBatch(k int)
 	Stop()
 	Step()
 	Run(n int64) int64
@@ -451,11 +442,6 @@ func (c *Clock) Jumps() int64 { return c.jumps }
 // toggled between runs; the simulated observables are identical either
 // way (skipped slots are provably no-ops — see Horizoner).
 func (c *Clock) SetSkipAhead(on bool) { c.skipAhead = on }
-
-// SetEpochBatch is a no-op on the serial engine: epoch batching only
-// amortizes barrier crossings, and Clock has none. Present so harness
-// code can set the knob through the Engine interface uniformly.
-func (c *Clock) SetEpochBatch(k int) {}
 
 // Register adds a component at priority 0.
 func (c *Clock) Register(t Ticker) { c.RegisterPrio(t, 0) }

@@ -81,6 +81,11 @@ func (m *MultiLocker) Holding(p int) Pattern {
 	return m.held[p]
 }
 
+// Idle reports whether p has no multiple-lock operation in progress:
+// it holds nothing, wants nothing, and has no unlock still retiring —
+// the only state in which Request accepts p again.
+func (m *MultiLocker) Idle(p int) bool { return m.state[p] == msIdle && m.want[p] == 0 }
+
 // Release schedules the atomic unlock of every lock p holds.
 func (m *MultiLocker) Release(p int) {
 	if m.state[p] != msHolding {
