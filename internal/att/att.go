@@ -96,8 +96,7 @@ type Result struct {
 	At       sim.Slot     // slot at which the operation finished
 }
 
-// entry is one ATT row. Blank rows are simply absent (the queue stores
-// only the inserted offsets with their ages).
+// entry is one ATT row; a blank row has valid == false.
 type entry struct {
 	valid  bool
 	offset int
@@ -140,12 +139,29 @@ type Tracked struct {
 	//cfm:no-save checkpointed through the banks facades sharing this arena
 	ar    *memory.BankArena
 	banks []*memory.Bank
-	att   [][]entry // att[bank][i]: entry of age i+1 at compare time
+	// The ATTs are rings over one flat array: bank b owns the m−1 rows
+	// rows[b·(m−1) : (b+1)·(m−1)], and its entry of age i+1 (at compare
+	// time) sits at ring index (head+i) mod (m−1). Every ATT shifts every
+	// slot, so one head serves all banks. fill[b] counts the rows in use:
+	// it grows from 0 to m−1 over the first slots.
+	rows []entry
+	head int
+	fill []int
+	// live[b] counts bank b's valid rows, so a blank table costs nothing
+	// to compare against.
+	//cfm:rebuilt
+	live []int
 	// pending insertions made during this slot's transfers, applied at
 	// the ATT shift in PhaseUpdate.
 	pending []entry
-	ops     []*op // one per processor, nil when idle
-	trace   *sim.Trace
+	ops     []*op // one per processor, nil when idle; points into slab
+	//cfm:no-save backing store of ops, checkpointed through ops
+	slab []op
+	// words backs the per-processor operation blocks: processor p's read
+	// buffer is words[2pm : 2pm+m], its write buffer the next m words.
+	//cfm:no-save backing store of the in-flight blocks, checkpointed through ops
+	words memory.Block
+	trace *sim.Trace
 
 	// Checkpoint rebinders (see SetDoneRebinder / SetModifyRebinder):
 	// callbacks of restored in-flight operations are rebuilt through these.
@@ -182,9 +198,13 @@ func NewTracked(m int, pri Priority, trace *sim.Trace) *Tracked {
 		pri:     pri,
 		ar:      memory.NewBankArena(m, 1),
 		banks:   make([]*memory.Bank, m),
-		att:     make([][]entry, m),
+		rows:    make([]entry, m*(m-1)),
+		fill:    make([]int, m),
+		live:    make([]int, m),
 		pending: make([]entry, m),
 		ops:     make([]*op, m),
+		slab:    make([]op, m),
+		words:   make(memory.Block, 2*m*m),
 		trace:   trace,
 	}
 	for i := range tr.banks {
@@ -261,43 +281,72 @@ func (tr *Tracked) PokeBlock(offset int, blk memory.Block) {
 	}
 }
 
-// StartWrite begins a plain block write by processor p at slot t.
+// StartWrite begins a plain block write by processor p at slot t. The
+// data is copied; the caller may reuse it at once.
 func (tr *Tracked) StartWrite(t sim.Slot, p, offset int, data memory.Block, done func(Result)) {
 	if len(data) != tr.m {
 		panic(fmt.Sprintf("att: write block of %d words, want %d", len(data), tr.m))
 	}
-	tr.begin(p, &op{kind: OpWrite, proc: p, offset: offset, started: t, issued: t,
-		phase: phaseWrite, writeBuf: data.Clone(), done: done})
+	o := tr.begin(t, p, OpWrite, offset, done)
+	o.writeBuf = tr.block(p, 1)
+	copy(o.writeBuf, data)
 }
 
 // StartRead begins a block read by processor p at slot t.
 func (tr *Tracked) StartRead(t sim.Slot, p, offset int, done func(Result)) {
-	tr.begin(p, &op{kind: OpRead, proc: p, offset: offset, started: t, issued: t,
-		phase: phaseRead, buf: make(memory.Block, tr.m), done: done})
+	o := tr.begin(t, p, OpRead, offset, done)
+	o.buf = tr.zeroBlock(p)
 }
 
 // StartSwap begins an atomic read-modify-write by processor p at slot t:
 // the block is read, modify maps the old block to the new one, and the
 // result is written back, atomically with respect to all other tracked
 // operations. Swap, test-and-set, and fetch-and-add are special cases of
-// modify. Requires EarliestWins mode.
+// modify, which receives its own copy of the old block and may change and
+// return it. Requires EarliestWins mode.
 func (tr *Tracked) StartSwap(t sim.Slot, p, offset int, modify func(memory.Block) memory.Block, done func(Result)) {
 	if tr.pri != EarliestWins {
 		panic("att: atomic operations require EarliestWins priority (§4.2.1)")
 	}
-	tr.begin(p, &op{kind: OpSwap, proc: p, offset: offset, started: t, issued: t,
-		phase: phaseRead, buf: make(memory.Block, tr.m), modify: modify, done: done})
+	o := tr.begin(t, p, OpSwap, offset, done)
+	o.buf = tr.zeroBlock(p)
+	o.modify = modify
 }
 
-func (tr *Tracked) begin(p int, o *op) {
-	if tr.ops[p] != nil {
-		panic(fmt.Sprintf("att: processor %d already has a %v in flight", p, tr.ops[p].kind))
+// begin issues an operation for processor p at slot t in p's operation
+// slot and returns it for the caller to attach its blocks. A write
+// starts in its write phase, reads and swaps in their read phase.
+func (tr *Tracked) begin(t sim.Slot, p int, kind OpKind, offset int, done func(Result)) *op {
+	if o := tr.ops[p]; o != nil {
+		panic(fmt.Sprintf("att: processor %d already has a %v in flight", p, o.kind))
 	}
+	ph := phaseRead
+	if kind == OpWrite {
+		ph = phaseWrite
+	}
+	o := &tr.slab[p]
+	*o = op{kind: kind, proc: p, offset: offset, started: t, issued: t, phase: ph, done: done}
 	tr.ops[p] = o
 	if tr.flt.Enabled() {
-		tr.flt.Emit(flight.ComposeID(p, o.issued), o.issued, flight.StageIssue, int32(p), int64(o.offset))
+		tr.flt.Emit(flight.ComposeID(p, t), t, flight.StageIssue, int32(p), int64(offset))
 	}
-	tr.trace.Add(o.started, fmt.Sprintf("P%d", p), "issue %v offset %d", o.kind, o.offset)
+	if tr.trace.Enabled() {
+		tr.trace.Add(t, fmt.Sprintf("P%d", p), "issue %v offset %d", kind, offset)
+	}
+	return o
+}
+
+// block returns processor p's read (i = 0) or write (i = 1) buffer.
+func (tr *Tracked) block(p, i int) memory.Block {
+	lo := (2*p + i) * tr.m
+	return tr.words[lo : lo+tr.m : lo+tr.m]
+}
+
+// zeroBlock returns processor p's read buffer, cleared.
+func (tr *Tracked) zeroBlock(p int) memory.Block {
+	b := tr.block(p, 0)
+	clear(b)
+	return b
 }
 
 // bankAt returns the bank processor p is connected to at slot t (c = 1).
@@ -345,48 +394,59 @@ func (tr *Tracked) Horizon(now sim.Slot) sim.Slot {
 			return now
 		}
 	}
-	for b := range tr.att {
-		if tr.pending[b].valid {
+	for b, n := range tr.live {
+		if n > 0 || tr.pending[b].valid {
 			return now
-		}
-		for _, e := range tr.att[b] {
-			if e.valid {
-				return now
-			}
 		}
 	}
 	return sim.HorizonNone
 }
 
 // shift advances every ATT by one slot, materializing this slot's
-// insertions (blank where no write started).
+// insertions (blank where no write started): the shared head steps back
+// one row, and each bank's new youngest entry overwrites the row that
+// held its oldest.
 func (tr *Tracked) shift() {
-	for b := range tr.att {
-		q := tr.att[b]
-		q = append(q, entry{})
-		copy(q[1:], q[:len(q)-1])
-		q[0] = tr.pending[b]
-		if len(q) > tr.m-1 {
-			q = q[:tr.m-1]
+	l := tr.m - 1
+	if tr.head == 0 {
+		tr.head = l
+	}
+	tr.head--
+	for b, base := 0, tr.head; b < tr.m; b, base = b+1, base+l {
+		e := tr.pending[b]
+		if tr.fill[b] < l {
+			tr.fill[b]++
+		} else if tr.rows[base].valid {
+			tr.live[b]--
 		}
-		tr.att[b] = q
-		tr.pending[b] = entry{}
+		if e.valid {
+			tr.live[b]++
+			tr.pending[b] = entry{}
+		}
+		tr.rows[base] = e
 	}
 }
 
-// findConflict scans the comparing subset [lo, hi) of bank b's ATT for a
-// same-offset valid entry and returns it.
+// findConflict scans the comparing subset [lo, hi) of bank b's ATT (by
+// age index) for a same-offset valid entry and returns it.
 func (tr *Tracked) findConflict(b, offset, lo, hi int) (entry, bool) {
-	q := tr.att[b]
-	if hi > len(q) {
-		hi = len(q)
+	if tr.live[b] == 0 {
+		return entry{}, false
+	}
+	if hi > tr.fill[b] {
+		hi = tr.fill[b]
 	}
 	if lo < 0 {
 		lo = 0
 	}
-	for i := lo; i < hi; i++ {
-		if q[i].valid && q[i].offset == offset {
-			return q[i], true
+	l := tr.m - 1
+	q := tr.rows[b*l : (b+1)*l]
+	for i, k := lo, tr.head+lo; i < hi; i, k = i+1, k+1 {
+		if k >= l {
+			k -= l
+		}
+		if q[k].valid && q[k].offset == offset {
+			return q[k], true
 		}
 	}
 	return entry{}, false
@@ -416,7 +476,9 @@ func (tr *Tracked) visitRead(t sim.Slot, o *op, b int) {
 		if tr.flt.Enabled() {
 			tr.flt.Emit(flight.ComposeID(o.proc, o.issued), t, flight.StageATTRetry, int32(b), int64(o.restarts))
 		}
-		tr.trace.Add(t, fmt.Sprintf("P%d", o.proc), "%v restart at bank %d", o.kind, b)
+		if tr.trace.Enabled() {
+			tr.trace.Add(t, fmt.Sprintf("P%d", o.proc), "%v restart at bank %d", o.kind, b)
+		}
 		// Fall through: the current bank becomes the first bank of the
 		// restarted cycle and is read this very slot.
 	}
@@ -431,7 +493,7 @@ func (tr *Tracked) visitRead(t sim.Slot, o *op, b int) {
 	}
 	// Read cycle complete.
 	if o.kind == OpRead {
-		tr.finish(t, o, Result{Outcome: Completed, Block: o.buf.Clone(), Restarts: o.restarts, At: t})
+		tr.finish(t, o, Completed)
 		return
 	}
 	// Swap: move to the write phase with the modified block. The write
@@ -444,7 +506,9 @@ func (tr *Tracked) visitRead(t sim.Slot, o *op, b int) {
 	o.n = 0
 	o.passed0 = false
 	o.started = t + 1
-	tr.trace.Add(t, fmt.Sprintf("P%d", o.proc), "swap enters write phase")
+	if tr.trace.Enabled() {
+		tr.trace.Add(t, fmt.Sprintf("P%d", o.proc), "swap enters write phase")
+	}
 }
 
 // comparingSet returns the ATT index range [lo, hi) a write with n banks
@@ -485,7 +549,9 @@ func (tr *Tracked) visitWrite(t sim.Slot, o *op, b int) {
 	if o.n == 0 {
 		// First bank of this attempt: insert the offset at the ATT head.
 		tr.pending[b] = entry{valid: true, offset: o.offset, swap: o.kind == OpSwap}
-		tr.trace.Add(t, fmt.Sprintf("ATT%d", b), "insert offset %d (%v)", o.offset, o.kind)
+		if tr.trace.Enabled() {
+			tr.trace.Add(t, fmt.Sprintf("ATT%d", b), "insert offset %d (%v)", o.offset, o.kind)
+		}
 	}
 	if ok := tr.ar.Write(t, b, o.offset, o.writeBuf[b]); !ok {
 		panic(fmt.Sprintf("att: bank %d busy at slot %d", b, t))
@@ -497,14 +563,12 @@ func (tr *Tracked) visitWrite(t sim.Slot, o *op, b int) {
 	if o.n < tr.m {
 		return
 	}
-	switch o.kind {
-	case OpWrite:
-		tr.CompletedWrites++
-		tr.finish(t, o, Result{Outcome: Completed, Restarts: o.restarts, At: t})
-	case OpSwap:
+	if o.kind == OpSwap {
 		tr.CompletedSwaps++
-		tr.finish(t, o, Result{Outcome: Completed, Block: o.buf.Clone(), Restarts: o.restarts, At: t})
+	} else {
+		tr.CompletedWrites++
 	}
+	tr.finish(t, o, Completed)
 }
 
 // resolveWriteConflict applies the interaction rules of §4.1.2 and
@@ -528,12 +592,16 @@ func (tr *Tracked) resolveWriteConflict(t sim.Slot, o *op, b int, hit entry) {
 		if tr.flt.Enabled() {
 			tr.flt.Emit(flight.ComposeID(o.proc, o.issued), t, flight.StageATTDefer, int32(b), int64(o.restarts))
 		}
-		tr.trace.Add(t, fmt.Sprintf("P%d", o.proc), "write restart at bank %d", b)
+		if tr.trace.Enabled() {
+			tr.trace.Add(t, fmt.Sprintf("P%d", o.proc), "write restart at bank %d", b)
+		}
 	default:
 		// Write-write: the lower-priority write aborts (§4.1.2, Fig. 4.6f).
 		tr.AbortedWrites++
-		tr.trace.Add(t, fmt.Sprintf("P%d", o.proc), "write abort at bank %d", b)
-		tr.finish(t, o, Result{Outcome: Aborted, Restarts: o.restarts, At: t})
+		if tr.trace.Enabled() {
+			tr.trace.Add(t, fmt.Sprintf("P%d", o.proc), "write abort at bank %d", b)
+		}
+		tr.finish(t, o, Aborted)
 	}
 }
 
@@ -552,21 +620,33 @@ func (tr *Tracked) restartSwap(t sim.Slot, o *op, b int) {
 	if tr.flt.Enabled() {
 		tr.flt.Emit(flight.ComposeID(o.proc, o.issued), t, flight.StageATTRetry, int32(b), int64(o.restarts))
 	}
-	tr.trace.Add(t, fmt.Sprintf("P%d", o.proc), "swap restart at bank %d", b)
+	if tr.trace.Enabled() {
+		tr.trace.Add(t, fmt.Sprintf("P%d", o.proc), "swap restart at bank %d", b)
+	}
 }
 
-// finish completes an operation and frees its processor.
-func (tr *Tracked) finish(t sim.Slot, o *op, r Result) {
-	if o.kind == OpRead && r.Outcome == Completed {
+// finish ends an operation with the given outcome and frees its
+// processor. The done callback, if any, receives a copy of the block
+// read (reads and swaps): the buffer itself belongs to the processor's
+// slot, which the callback may reuse by issuing its next operation.
+func (tr *Tracked) finish(t sim.Slot, o *op, out Outcome) {
+	if o.kind == OpRead && out == Completed {
 		tr.CompletedReads++
 	}
 	tr.ops[o.proc] = nil
 	if tr.flt.Enabled() {
 		tr.flt.Emit(flight.ComposeID(o.proc, o.issued), t, flight.StageRetire, int32(o.proc), int64(t-o.issued))
 	}
-	tr.trace.Add(t, fmt.Sprintf("P%d", o.proc), "%v %s", o.kind,
-		map[Outcome]string{Completed: "complete", Aborted: "aborted"}[r.Outcome])
-	if o.done != nil {
-		o.done(r)
+	if tr.trace.Enabled() {
+		tr.trace.Add(t, fmt.Sprintf("P%d", o.proc), "%v %s", o.kind,
+			map[Outcome]string{Completed: "complete", Aborted: "aborted"}[out])
 	}
+	if o.done == nil {
+		return
+	}
+	r := Result{Outcome: out, Restarts: o.restarts, At: t}
+	if o.kind != OpWrite && out == Completed {
+		r.Block = o.buf.Clone()
+	}
+	o.done(r)
 }

@@ -44,6 +44,10 @@ type Locker struct {
 	offset int // block holding the lock variable
 	state  []lockState
 	want   []bool
+	// Per-processor completion callbacks and the all-free release block,
+	// built once so issuing allocates nothing.
+	swapDone, spinDone, unlockDone []func(Result)
+	free                           memory.Block
 	// OnAcquire, if set, is invoked when a processor obtains the lock.
 	OnAcquire func(p int, t sim.Slot)
 
@@ -58,12 +62,23 @@ func NewLocker(tr *Tracked, offset int) *Locker {
 	if tr.Priority() != EarliestWins {
 		panic("att: Locker requires EarliestWins mode")
 	}
-	return &Locker{
-		tr:     tr,
-		offset: offset,
-		state:  make([]lockState, tr.Banks()),
-		want:   make([]bool, tr.Banks()),
+	n := tr.Banks()
+	l := &Locker{
+		tr:         tr,
+		offset:     offset,
+		state:      make([]lockState, n),
+		want:       make([]bool, n),
+		swapDone:   make([]func(Result), n),
+		spinDone:   make([]func(Result), n),
+		unlockDone: make([]func(Result), n),
+		free:       make(memory.Block, n),
 	}
+	for p := 0; p < n; p++ {
+		l.swapDone[p] = func(r Result) { l.swapped(p, r) }
+		l.spinDone[p] = func(r Result) { l.spun(p, r) }
+		l.unlockDone[p] = func(r Result) { l.unlocked(p, r) }
+	}
+	return l
 }
 
 // Request registers processor p's desire for the lock. The acquisition
@@ -113,37 +128,45 @@ func (l *Locker) PhaseMask() sim.PhaseMask { return sim.MaskOf(sim.PhaseIssue) }
 func (l *Locker) startSwap(t sim.Slot, p int) {
 	l.state[p] = lockSwapping
 	l.SwapAttempts++
-	l.tr.StartSwap(t, p, l.offset, func(old memory.Block) memory.Block {
-		nw := old.Clone()
-		nw[0] = lockLocked
-		return nw
-	}, func(r Result) {
-		if r.Block[0] == lockFree {
-			// The swap observed a free lock and stored LOCKED: acquired.
-			l.state[p] = lockHolding
-			l.want[p] = false
-			l.Acquisitions++
-			if l.OnAcquire != nil {
-				l.OnAcquire(p, r.At)
-			}
-			return
+	l.tr.StartSwap(t, p, l.offset, lockBlock, l.swapDone[p])
+}
+
+// lockBlock is the swap's modify body: the block with LOCKED stored.
+func lockBlock(old memory.Block) memory.Block {
+	old[0] = lockLocked
+	return old
+}
+
+// swapped completes p's swap.
+func (l *Locker) swapped(p int, r Result) {
+	if r.Block[0] == lockFree {
+		// The swap observed a free lock and stored LOCKED: acquired.
+		l.state[p] = lockHolding
+		l.want[p] = false
+		l.Acquisitions++
+		if l.OnAcquire != nil {
+			l.OnAcquire(p, r.At)
 		}
-		// Someone holds it: spin-read until it reads free (while(*s);).
-		l.state[p] = lockSpinning
-	})
+		return
+	}
+	// Someone holds it: spin-read until it reads free (while(*s);).
+	l.state[p] = lockSpinning
 }
 
 // startSpinRead issues one read of the lock block; observing a free lock
 // sends the processor back to retry the swap.
 func (l *Locker) startSpinRead(t sim.Slot, p int) {
 	l.state[p] = lockReading
-	l.tr.StartRead(t, p, l.offset, func(r Result) {
-		if r.Block[0] == lockFree {
-			l.state[p] = lockIdle // retry the swap next tick
-		} else {
-			l.state[p] = lockSpinning // keep spinning
-		}
-	})
+	l.tr.StartRead(t, p, l.offset, l.spinDone[p])
+}
+
+// spun completes p's spin read.
+func (l *Locker) spun(p int, r Result) {
+	if r.Block[0] == lockFree {
+		l.state[p] = lockIdle // retry the swap next tick
+	} else {
+		l.state[p] = lockSpinning // keep spinning
+	}
 }
 
 // startUnlock performs the release: a plain write of a free lock block.
@@ -153,11 +176,12 @@ func (l *Locker) startSpinRead(t sim.Slot, p int) {
 // (possible only if the application writes the lock block directly)
 // leaves the state at lockUnlock so the next tick retries.
 func (l *Locker) startUnlock(t sim.Slot, p int) {
-	blk := make(memory.Block, l.tr.Banks())
-	blk[0] = lockFree
-	l.tr.StartWrite(t, p, l.offset, blk, func(r Result) {
-		if r.Outcome == Completed {
-			l.state[p] = lockIdle
-		}
-	})
+	l.tr.StartWrite(t, p, l.offset, l.free, l.unlockDone[p])
+}
+
+// unlocked completes p's release write.
+func (l *Locker) unlocked(p int, r Result) {
+	if r.Outcome == Completed {
+		l.state[p] = lockIdle
+	}
 }

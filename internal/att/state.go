@@ -1,6 +1,8 @@
 package att
 
 import (
+	"fmt"
+
 	"cfm/internal/memory"
 	"cfm/internal/sim"
 )
@@ -32,16 +34,19 @@ func loadEntry(dec *sim.StateDecoder) entry {
 }
 
 // SaveState implements sim.Stater for the tracked memory: every bank,
-// every ATT row, this slot's pending insertions, the in-flight
-// operations, and the statistics with their registry-flush watermarks.
+// every ATT row (youngest first), this slot's pending insertions, the
+// in-flight operations, and the statistics with their registry-flush
+// watermarks.
 func (tr *Tracked) SaveState(enc *sim.StateEncoder) {
 	for _, bk := range tr.banks {
 		bk.SaveState(enc)
 	}
-	for b := range tr.att {
-		enc.Int(len(tr.att[b]))
-		for _, e := range tr.att[b] {
-			saveEntry(enc, e)
+	l := tr.m - 1
+	for b := 0; b < tr.m; b++ {
+		q := tr.rows[b*l : (b+1)*l]
+		enc.Int(tr.fill[b])
+		for i := 0; i < tr.fill[b]; i++ {
+			saveEntry(enc, q[(tr.head+i)%l])
 		}
 	}
 	for b := range tr.pending {
@@ -85,7 +90,11 @@ func (tr *Tracked) SaveState(enc *sim.StateEncoder) {
 	enc.I64(tr.mRestarts)
 }
 
-// LoadState implements sim.Stater.
+// LoadState implements sim.Stater. Each ATT is laid out youngest first
+// from ring index 0 (head 0), and the live counts are rebuilt from the
+// rows. In-flight operations are validated against the shapes the tick
+// path relies on, so a corrupt snapshot fails here instead of panicking
+// later.
 func (tr *Tracked) LoadState(dec *sim.StateDecoder) {
 	for _, bk := range tr.banks {
 		bk.LoadState(dec)
@@ -93,18 +102,25 @@ func (tr *Tracked) LoadState(dec *sim.StateDecoder) {
 			return
 		}
 	}
-	for b := range tr.att {
+	l := tr.m - 1
+	tr.head = 0
+	for b := 0; b < tr.m; b++ {
 		n := dec.Count()
 		if dec.Err() != nil {
 			return
 		}
-		if n > tr.m-1 {
-			dec.Failf("att: snapshot ATT %d has %d rows, table holds %d", b, n, tr.m-1)
+		if n > l {
+			dec.Failf("att: snapshot ATT %d has %d rows, table holds %d", b, n, l)
 			return
 		}
-		tr.att[b] = tr.att[b][:0]
+		q := tr.rows[b*l : (b+1)*l]
+		clear(q)
+		tr.fill[b], tr.live[b] = n, 0
 		for i := 0; i < n; i++ {
-			tr.att[b] = append(tr.att[b], loadEntry(dec))
+			q[i] = loadEntry(dec)
+			if q[i].valid {
+				tr.live[b]++
+			}
 		}
 	}
 	for b := range tr.pending {
@@ -115,7 +131,8 @@ func (tr *Tracked) LoadState(dec *sim.StateDecoder) {
 		if !dec.Bool() {
 			continue
 		}
-		o := &op{proc: p}
+		o := &tr.slab[p]
+		*o = op{proc: p}
 		k := dec.Int()
 		if dec.Err() != nil {
 			return
@@ -145,6 +162,10 @@ func (tr *Tracked) LoadState(dec *sim.StateDecoder) {
 		hasModify := dec.Bool()
 		hasDone := dec.Bool()
 		if dec.Err() != nil {
+			return
+		}
+		if err := tr.checkOp(o, hasModify); err != nil {
+			dec.Failf("att: P%d's snapshot %v: %v", p, o.kind, err)
 			return
 		}
 		if hasModify {
@@ -181,4 +202,40 @@ func (tr *Tracked) LoadState(dec *sim.StateDecoder) {
 	tr.mReads = dec.I64()
 	tr.mSwaps = dec.I64()
 	tr.mRestarts = dec.I64()
+}
+
+// checkOp checks a restored in-flight operation against the invariants
+// the tick path indexes by: a read or swap carries an m-word read buffer
+// and a write none; a write, and a swap in its write phase, carry an
+// m-word write buffer; a read carries none, and a swap back in its read
+// phase may still hold the previous attempt's. A write never reads, a
+// read never writes, and only a swap has a modify body. The bank count
+// n lies in [0, m) and the offset is a word offset (non-negative).
+func (tr *Tracked) checkOp(o *op, hasModify bool) error {
+	m := tr.m
+	wantBuf := m
+	if o.kind == OpWrite {
+		wantBuf = 0
+	}
+	switch {
+	case o.offset < 0:
+		return fmt.Errorf("negative offset %d", o.offset)
+	case o.n < 0 || o.n >= m:
+		return fmt.Errorf("%d banks done, want [0, %d)", o.n, m)
+	case o.kind == OpRead && o.phase != phaseRead, o.kind == OpWrite && o.phase != phaseWrite:
+		return fmt.Errorf("in phase %d", o.phase)
+	case hasModify != (o.kind == OpSwap):
+		return fmt.Errorf("modify body present %v", hasModify)
+	case len(o.buf) != wantBuf:
+		return fmt.Errorf("read buffer of %d words, want %d", len(o.buf), wantBuf)
+	}
+	switch l := len(o.writeBuf); {
+	case o.phase == phaseWrite && l != m:
+		return fmt.Errorf("write buffer of %d words, want %d", l, m)
+	case o.kind == OpRead && l != 0:
+		return fmt.Errorf("write buffer of %d words, want none", l)
+	case o.kind == OpSwap && l != 0 && l != m:
+		return fmt.Errorf("write buffer of %d words, want 0 or %d", l, m)
+	}
+	return nil
 }

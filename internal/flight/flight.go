@@ -221,12 +221,19 @@ func (r *Recorder) Events() []Event {
 	if r == nil || r.n == 0 {
 		return nil
 	}
+	older, newer := r.halves()
 	out := make([]Event, 0, r.n)
+	out = append(out, older...)
+	return append(out, newer...)
+}
+
+// halves returns the live events in place, oldest first: older, then
+// newer (empty until the ring wraps).
+func (r *Recorder) halves() (older, newer []Event) {
 	if r.n < len(r.events) {
-		return append(out, r.events[:r.n]...)
+		return r.events[:r.n], nil
 	}
-	out = append(out, r.events[r.head:]...)
-	return append(out, r.events[:r.head]...)
+	return r.events[r.head:], r.events[:r.head]
 }
 
 // FNV-1a, the digest primitive shared with sim.Trace and
@@ -263,17 +270,12 @@ func (r *Recorder) Digest() uint64 {
 		h = fnvMix(h, uint64(uint32(ev.Actor)))
 		h = fnvMix(h, uint64(ev.Arg))
 	}
-	if r.n < len(r.events) {
-		for _, ev := range r.events[:r.n] {
-			digestOne(ev)
-		}
-	} else {
-		for _, ev := range r.events[r.head:] {
-			digestOne(ev)
-		}
-		for _, ev := range r.events[:r.head] {
-			digestOne(ev)
-		}
+	older, newer := r.halves()
+	for _, ev := range older {
+		digestOne(ev)
+	}
+	for _, ev := range newer {
+		digestOne(ev)
 	}
 	return fnvMix(h, r.dropped)
 }
@@ -284,11 +286,15 @@ func (r *Recorder) Digest() uint64 {
 // run's was — which is what lets the bisector compare span digests
 // across checkpoint/restore probes.
 func (r *Recorder) SaveState(enc *sim.StateEncoder) {
-	evs := r.Events()
 	enc.Int(len(r.events))
 	enc.U64(r.dropped)
-	enc.Int(len(evs))
-	for _, ev := range evs {
+	enc.Int(r.n)
+	// Oldest first, straight from the ring (head is 0 until it wraps).
+	for i, j := 0, r.head; i < r.n; i, j = i+1, j+1 {
+		if j == len(r.events) {
+			j = 0
+		}
+		ev := &r.events[j]
 		enc.U64(ev.ID)
 		enc.Slot(ev.Slot)
 		enc.U64(uint64(ev.Stage))

@@ -167,6 +167,32 @@ func (e *StateEncoder) Bytes32(b []byte) {
 	e.buf = append(e.buf, b...)
 }
 
+// beginSection opens a length-prefixed byte section whose payload the
+// caller then encodes in place; endSection, given the returned offset,
+// backpatches the length. The bytes equal Bytes32 of the same payload
+// encoded separately, without the intermediate buffer and copy.
+func (e *StateEncoder) beginSection() int {
+	if e.err != nil {
+		return 0
+	}
+	e.buf = append(e.buf, tagBytes, 0, 0, 0, 0)
+	return len(e.buf)
+}
+
+// endSection closes the section opened at start.
+func (e *StateEncoder) endSection(start int) {
+	if e.err != nil {
+		return
+	}
+	n := len(e.buf) - start
+	if n > int(^uint32(0)) {
+		e.Failf("sim: state section of %d bytes exceeds the format's u32 length", n)
+		return
+	}
+	b := e.buf[start-4 : start]
+	b[0], b[1], b[2], b[3] = byte(n), byte(n>>8), byte(n>>16), byte(n>>24)
+}
+
 // String appends a length-prefixed string.
 func (e *StateEncoder) String(s string) {
 	if e.err != nil {
@@ -419,8 +445,14 @@ func appendU64(b []byte, v uint64) []byte {
 
 // writeCheckpoint serializes an engine's full state. tickers must be in
 // compiled (prio, seq) order — the caller compiles first.
+//
+// Everything is encoded straight into one buffer that starts with the
+// magic and version: each state section is written in place and its
+// length backpatched, so no section is copied.
 func writeCheckpoint(w io.Writer, now Slot, slotsRun, slotsFired, jumps int64, tickers []tickerEntry, extras []extraState) error {
 	enc := NewStateEncoder()
+	enc.buf = append(enc.buf, checkpointMagic...)
+	enc.buf = appendU32(enc.buf, CheckpointVersion)
 	enc.Slot(now)
 	enc.I64(slotsRun)
 	enc.I64(slotsFired)
@@ -432,33 +464,28 @@ func writeCheckpoint(w io.Writer, now Slot, slotsRun, slotsFired, jumps int64, t
 		st, ok := e.t.(Stater)
 		enc.Bool(ok)
 		if ok {
-			sub := NewStateEncoder()
-			st.SaveState(sub)
-			if err := sub.Err(); err != nil {
+			start := enc.beginSection()
+			st.SaveState(enc)
+			enc.endSection(start)
+			if err := enc.Err(); err != nil {
 				return fmt.Errorf("sim: checkpoint: component %d (%T): %w", i, e.t, err)
 			}
-			enc.Bytes32(sub.Bytes())
 		}
 	}
 	enc.Int(len(extras))
 	for _, x := range extras {
 		enc.String(x.name)
-		sub := NewStateEncoder()
-		x.s.SaveState(sub)
-		if err := sub.Err(); err != nil {
+		start := enc.beginSection()
+		x.s.SaveState(enc)
+		enc.endSection(start)
+		if err := enc.Err(); err != nil {
 			return fmt.Errorf("sim: checkpoint: extra %q (%T): %w", x.name, x.s, err)
 		}
-		enc.Bytes32(sub.Bytes())
 	}
 	if err := enc.Err(); err != nil {
 		return err
 	}
-
-	out := make([]byte, 0, len(checkpointMagic)+4+len(enc.Bytes())+8)
-	out = append(out, checkpointMagic...)
-	out = appendU32(out, CheckpointVersion)
-	out = append(out, enc.Bytes()...)
-	out = appendU64(out, fnv1a(out))
+	out := appendU64(enc.buf, fnv1a(enc.buf))
 	_, err := w.Write(out)
 	return err
 }
