@@ -25,7 +25,6 @@ package cfm
 
 import (
 	"io"
-	"net/http"
 
 	"cfm/internal/analytic"
 	"cfm/internal/att"
@@ -195,12 +194,6 @@ func NewRegistry() *Registry { return metrics.New() }
 // instrumented components.
 func NewSampler(reg *Registry, every int64) *Sampler { return metrics.NewSampler(reg, every) }
 
-// ServeMetrics starts a live observability endpoint (/metrics, expvar,
-// pprof) on addr; close the returned server when done.
-func ServeMetrics(addr string, reg *Registry) (*http.Server, error) {
-	return metrics.Serve(addr, reg)
-}
-
 // NewRNG returns a seeded deterministic generator.
 func NewRNG(seed uint64) *RNG { return sim.NewRNG(seed) }
 
@@ -268,13 +261,6 @@ func DecomposeFlight(events []FlightEvent) []FlightBreakdown { return flight.Dec
 // AttributeFlight summarizes the latency decomposition of every
 // complete span (the `cfmsim efficiency` queueing-delay table).
 func AttributeFlight(events []FlightEvent) FlightAttribution { return flight.Attribute(events) }
-
-// RecordFlightHistograms feeds the decomposition into registry
-// histograms named <prefix>_span_{queue,service,network,total}_cycles.
-// Call after the run, from the harness, never from a tick path.
-func RecordFlightHistograms(reg *Registry, prefix string, events []FlightEvent) {
-	flight.Record(reg, prefix, events)
-}
 
 // WriteFlightJSONL writes span events as JSON lines, one per event.
 func WriteFlightJSONL(w io.Writer, events []FlightEvent) error { return flight.WriteJSONL(w, events) }

@@ -1,12 +1,12 @@
 // Command cfmlint machine-checks the simulator's source-level
-// invariants: determinism (no wall clocks, no global rand, no stray
-// concurrency, no unsorted map iteration in digests), RNG draw
-// discipline for skip-ahead, PhaseMask/Tick agreement, hot-path
-// allocation hygiene, metric-name validity, cache-line padding of
-// //cfm:cacheline structs, struct-of-arrays arena layout, shard purity
-// of every TickShard call graph, and checkpoint coverage of every
-// sim.Stater (SaveState/LoadState symmetry and persistent-field
-// accounting).
+// invariants with nine passes: determinism (no wall clocks, no global
+// rand, no stray concurrency, no unsorted map iteration in digests), RNG
+// draw discipline for skip-ahead, PhaseMask/Tick agreement, hot-path
+// allocation hygiene, metric-name validity, guarded flight-recorder
+// emission, struct-of-arrays arena layout, shard purity of every
+// TickShard call graph, and the checkpoint contract (stateful tickers
+// implement sim.Stater; every Stater's SaveState/LoadState are symmetric
+// and account for each persistent field).
 //
 // Usage:
 //
@@ -44,8 +44,7 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("cfmlint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	only := fs.String("only", "", "comma-separated pass names to run (default: all)")
-	passesFlag := fs.String("passes", "", "alias of -only")
+	selected := fs.String("passes", "", "comma-separated pass names to run (default: all)")
 	format := fs.String("format", "text", "diagnostic format: text or github")
 	list := fs.Bool("list", false, "list the passes and exit")
 	verbose := fs.Bool("v", false, "print each package as it is checked")
@@ -60,14 +59,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "cfmlint: unknown -format %q (want text or github)\n", *format)
 		return 2
 	}
-	if *only != "" && *passesFlag != "" && *only != *passesFlag {
-		fmt.Fprintf(stderr, "cfmlint: -only and -passes disagree; set just one\n")
-		return 2
-	}
-	selected := *only
-	if selected == "" {
-		selected = *passesFlag
-	}
 
 	passes := lint.Passes()
 	if *list {
@@ -76,9 +67,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 0
 	}
-	if selected != "" {
+	if *selected != "" {
 		keep := make(map[string]bool)
-		for _, name := range strings.Split(selected, ",") {
+		for _, name := range strings.Split(*selected, ",") {
 			keep[strings.TrimSpace(name)] = true
 		}
 		var filtered []*lint.Pass

@@ -26,7 +26,7 @@ func TestRepoIsClean(t *testing.T) {
 // stderr.
 func TestFixturesFailReadably(t *testing.T) {
 	var out, errb bytes.Buffer
-	code := run([]string{"-only", "determinism", "../../internal/lint/testdata/src/determinism/pos"}, &out, &errb)
+	code := run([]string{"-passes", "determinism", "../../internal/lint/testdata/src/determinism/pos"}, &out, &errb)
 	if code != 1 {
 		t.Fatalf("exit code = %d, want 1\nstdout:\n%s\nstderr:\n%s", code, out.String(), errb.String())
 	}
@@ -39,22 +39,26 @@ func TestFixturesFailReadably(t *testing.T) {
 	}
 }
 
-// TestListNamesTheSuite pins -list output to the suite.
+// TestListNamesTheSuite pins -list output to the nine-pass suite, in
+// order, one pass per line.
 func TestListNamesTheSuite(t *testing.T) {
 	var out, errb bytes.Buffer
 	if code := run([]string{"-list"}, &out, &errb); code != 0 {
 		t.Fatalf("-list exited %d, want 0", code)
 	}
-	for _, name := range []string{"determinism", "rng-discipline", "phasemask", "hotpath-alloc", "metric-names", "shardpure", "statecover"} {
-		if !strings.Contains(out.String(), name) {
-			t.Errorf("-list output lacks pass %q:\n%s", name, out.String())
-		}
+	var got []string
+	for _, line := range strings.Split(strings.TrimSpace(out.String()), "\n") {
+		got = append(got, strings.Fields(line)[0])
+	}
+	want := []string{"determinism", "rng-discipline", "phasemask", "hotpath-alloc", "metric-names", "flight", "soalayout", "shardpure", "statecover"}
+	if strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Errorf("-list names %v, want %v:\n%s", got, want, out.String())
 	}
 }
 
-// TestPassesFlagSelectsPasses pins -passes as an alias of -only: the
+// TestPassesFlagSelectsPasses pins -passes pass selection: the
 // shardpure fixture must fire under -passes shardpure and stay silent
-// when only statecover runs.
+// when only phasemask runs.
 func TestPassesFlagSelectsPasses(t *testing.T) {
 	var out, errb bytes.Buffer
 	if code := run([]string{"-passes", "shardpure", "../../internal/lint/testdata/src/shardpure/pos"}, &out, &errb); code != 1 {
@@ -65,13 +69,8 @@ func TestPassesFlagSelectsPasses(t *testing.T) {
 	}
 	out.Reset()
 	errb.Reset()
-	if code := run([]string{"-passes", "statecover", "../../internal/lint/testdata/src/shardpure/pos"}, &out, &errb); code != 0 {
-		t.Fatalf("-passes statecover on the shardpure fixture exited %d, want 0\nstdout:\n%s", code, out.String())
-	}
-	out.Reset()
-	errb.Reset()
-	if code := run([]string{"-only", "shardpure", "-passes", "statecover", "."}, &out, &errb); code != 2 {
-		t.Fatalf("conflicting -only/-passes exited %d, want 2", code)
+	if code := run([]string{"-passes", "phasemask", "../../internal/lint/testdata/src/shardpure/pos"}, &out, &errb); code != 0 {
+		t.Fatalf("-passes phasemask on the shardpure fixture exited %d, want 0\nstdout:\n%s", code, out.String())
 	}
 }
 
@@ -80,7 +79,7 @@ func TestPassesFlagSelectsPasses(t *testing.T) {
 // properties, with command metacharacters percent-escaped.
 func TestGithubFormat(t *testing.T) {
 	var out, errb bytes.Buffer
-	code := run([]string{"-format", "github", "-only", "determinism", "../../internal/lint/testdata/src/determinism/pos"}, &out, &errb)
+	code := run([]string{"-format", "github", "-passes", "determinism", "../../internal/lint/testdata/src/determinism/pos"}, &out, &errb)
 	if code != 1 {
 		t.Fatalf("exit code = %d, want 1\nstdout:\n%s\nstderr:\n%s", code, out.String(), errb.String())
 	}
@@ -113,11 +112,11 @@ func TestGithubEscaping(t *testing.T) {
 	}
 }
 
-// TestUnknownPassIsUsageError pins the -only validation.
+// TestUnknownPassIsUsageError pins the -passes validation.
 func TestUnknownPassIsUsageError(t *testing.T) {
 	var out, errb bytes.Buffer
-	if code := run([]string{"-only", "nope", "."}, &out, &errb); code != 2 {
-		t.Fatalf("-only nope exited %d, want 2\nstderr:\n%s", code, errb.String())
+	if code := run([]string{"-passes", "nope", "."}, &out, &errb); code != 2 {
+		t.Fatalf("-passes nope exited %d, want 2\nstderr:\n%s", code, errb.String())
 	}
 	if !strings.Contains(errb.String(), "unknown pass") {
 		t.Fatalf("stderr lacks the unknown-pass hint: %q", errb.String())

@@ -199,9 +199,7 @@ type Partial struct {
 // partialStage buffers one contention-set shard's measurement deltas.
 // Each shard's worker writes its element on every event, so the trailing
 // padding keeps neighbouring shards' elements off each other's cache
-// lines.
-//
-//cfm:cacheline
+// lines; TestPartialStagePadding pins the size to whole 64-byte lines.
 type partialStage struct {
 	completed    int64
 	retries      int64

@@ -61,8 +61,8 @@ func TestPartialSlotBijection(t *testing.T) {
 	}
 }
 
-// TestPartialStagePadding pins the shard stage's cache-line layout at
-// runtime (the structlayout cfmlint pass pins it statically).
+// TestPartialStagePadding pins the shard stage's cache-line layout: a
+// field edit that leaves the size off a 64-byte multiple fails here.
 func TestPartialStagePadding(t *testing.T) {
 	if sz := unsafe.Sizeof(partialStage{}); sz%64 != 0 || sz == 0 {
 		t.Fatalf("partialStage is %d bytes; want a nonzero multiple of the 64-byte cache line", sz)

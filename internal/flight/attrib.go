@@ -1,7 +1,6 @@
 package flight
 
 import (
-	"cfm/internal/metrics"
 	"cfm/internal/sim"
 	"cfm/internal/stats"
 )
@@ -152,27 +151,5 @@ func Attribute(events []Event) Attribution {
 		Service: summarizeTerm(bds, func(b Breakdown) int64 { return b.Service }),
 		Network: summarizeTerm(bds, func(b Breakdown) int64 { return b.Network }),
 		Total:   summarizeTerm(bds, func(b Breakdown) int64 { return b.Total }),
-	}
-}
-
-// Record feeds the decomposition into registry histograms named
-// <prefix>_span_{queue,service,network,total}_cycles (label-free, per
-// the registry's histogram naming rule), binned at one slot. A nil
-// registry records nothing. Call it after the run, from the harness —
-// never from a tick path — so run-time metric state stays identical
-// with and without a recorder attached.
-func Record(reg *metrics.Registry, prefix string, events []Event) {
-	if reg == nil {
-		return
-	}
-	q := reg.Histogram(prefix+"_span_queue_cycles", 1)
-	s := reg.Histogram(prefix+"_span_service_cycles", 1)
-	n := reg.Histogram(prefix+"_span_network_cycles", 1)
-	t := reg.Histogram(prefix+"_span_total_cycles", 1)
-	for _, bd := range DecomposeAll(events) {
-		q.Observe(bd.Queue)
-		s.Observe(bd.Service)
-		n.Observe(bd.Network)
-		t.Observe(bd.Total)
 	}
 }

@@ -1,10 +1,6 @@
 package flight
 
-import (
-	"testing"
-
-	"cfm/internal/metrics"
-)
+import "testing"
 
 // fullSpan is an access with every decomposition term non-trivial:
 // issued at 10, injected, two hops, a busy-bank wait, four slots of
@@ -145,33 +141,5 @@ func TestAttributeEmpty(t *testing.T) {
 	at := Attribute(nil)
 	if at.Spans != 0 || at.Total.N != 0 || at.Total.Mean != 0 {
 		t.Errorf("empty attribution non-zero: %+v", at)
-	}
-}
-
-func TestRecordFeedsRegistry(t *testing.T) {
-	Record(nil, "x", fullSpan()) // nil registry: no-op, no panic
-
-	reg := metrics.New()
-	Record(reg, "cfm", fullSpan())
-	snap := reg.Snapshot()
-	hists := map[string]metrics.HistValue{}
-	for _, h := range snap.Histograms {
-		hists[h.Name] = h
-	}
-	for _, want := range []string{
-		"cfm_span_queue_cycles", "cfm_span_service_cycles",
-		"cfm_span_network_cycles", "cfm_span_total_cycles",
-	} {
-		h, ok := hists[want]
-		if !ok {
-			t.Errorf("histogram %s missing from snapshot", want)
-			continue
-		}
-		if h.Count != 1 {
-			t.Errorf("%s observed %d spans, want 1", want, h.Count)
-		}
-	}
-	if h := hists["cfm_span_total_cycles"]; h.Sum != 10 {
-		t.Errorf("total sum %d, want 10", h.Sum)
 	}
 }

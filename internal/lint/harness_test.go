@@ -2,7 +2,6 @@ package lint
 
 import (
 	"fmt"
-	"go/ast"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -208,37 +207,6 @@ func TestPassesAreFresh(t *testing.T) {
 	for i := range a {
 		if a[i] == b[i] {
 			t.Errorf("pass %s is shared between instances", a[i].Name)
-		}
-	}
-}
-
-// TestAnnotationParsing pins the three directive spellings.
-func TestAnnotationParsing(t *testing.T) {
-	mk := func(lines ...string) *ast.CommentGroup {
-		cg := &ast.CommentGroup{}
-		for _, l := range lines {
-			cg.List = append(cg.List, &ast.Comment{Text: l})
-		}
-		return cg
-	}
-	cases := []struct {
-		cg     *ast.CommentGroup
-		key    string
-		value  string
-		wantOK bool
-	}{
-		{mk("//cfm:rng=event"), "rng", "event", true},
-		{mk("// cfm:rng=slot trailing words"), "rng", "slot", true},
-		{mk("//cfm:alloc-ok cold path"), "alloc-ok", "cold path", true},
-		{mk("//cfm:unsorted-ok"), "unsorted-ok", "", true},
-		{mk("// unrelated"), "rng", "", false},
-		{nil, "rng", "", false},
-		{mk("//cfm:rng-discipline"), "rng", "", false},
-	}
-	for _, c := range cases {
-		v, ok := annotation(c.cg, c.key)
-		if ok != c.wantOK || v != c.value {
-			t.Errorf("annotation(%v, %q) = %q, %v; want %q, %v", c.cg, c.key, v, ok, c.value, c.wantOK)
 		}
 	}
 }

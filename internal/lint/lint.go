@@ -15,16 +15,9 @@
 //     guarded by testing.AllocsPerRun tests.
 //   - metric-names: metric name literals handed to the metrics registry
 //     are Prometheus-valid, kind-consistent, and registered once.
-//   - stater: a ticker owning mutable simulation state (an RNG, a
-//     sim.Queue, or container fields) implements sim.Stater so engine
-//     checkpoints capture it, or opts out with //cfm:no-stater <reason>.
 //   - flight: flight-recorder emissions in instrumented packages sit
 //     under an Enabled() guard (the disabled path is zero-alloc), and a
 //     package emitting an opening stage also emits StageRetire.
-//   - structlayout: a //cfm:cacheline struct (per-shard elements laid
-//     out side by side in a slice) sizes to a nonzero multiple of 64
-//     bytes on gc/amd64, so adjacent workers' elements never share a
-//     cache line.
 //   - soalayout: a //cfm:soa arena struct (flat parallel arrays swept by
 //     compiled dense tick loops) keeps pointer-free slice elements and
 //     no maps, so the hot sweep never chases per-element heap pointers;
@@ -34,11 +27,21 @@
 //     index or values read out of it — and never sends on channels,
 //     launches goroutines, or takes locks; single-writer exceptions
 //     carry //cfm:shard-ok <reason>.
-//   - statecover: every persistent field of a sim.Stater (one the tick
-//     graph may write) is encoded in SaveState and restored in
-//     LoadState in matching order and wire types, rebuilt by LoadState
-//     under a //cfm:rebuilt marker, or waived //cfm:no-save <reason>;
-//     stale markers are findings too.
+//   - statecover: the checkpoint contract. A ticker owning mutable
+//     simulation state (an RNG, a sim.Queue, or container fields)
+//     implements sim.Stater or opts out with //cfm:no-stater <reason>;
+//     and every persistent field of a sim.Stater (one the tick graph may
+//     write) is encoded in SaveState and restored in LoadState in
+//     matching order and wire types, rebuilt by LoadState under a
+//     //cfm:rebuilt marker, or waived //cfm:no-save <reason>; stale
+//     markers are findings too.
+//
+// A pass stays in the suite only while a seeded defect shows it catches
+// something the runtime batteries (goldens, serial ≡ parallel, dense ≡
+// skip-ahead, resume ≡ uninterrupted, the AllocsPerRun guards) miss;
+// seeded_defect_test.go records those defects. Layout rules a runtime
+// test already pins (core's TestPartialStagePadding for the shard stage's
+// cache-line padding) are left to that test.
 //
 // The suite is built on go/ast + go/types only (no x/tools), so it runs
 // anywhere the repo builds: `go run ./cmd/cfmlint ./...`. The last two
@@ -60,7 +63,6 @@
 //	//cfm:shared-metric R    several sites intentionally share one metric
 //	//cfm:no-stater R        ticker is deliberately not checkpointable
 //	//cfm:flight-ok R        flight emission intentionally unguarded
-//	//cfm:cacheline          struct must fill whole 64-byte cache lines
 //	//cfm:soa                struct is a flat struct-of-arrays arena
 //	//cfm:soa-ok R           arena field deliberately off the hot sweep
 //	//cfm:shard-ok R         cross-shard write is provably single-writer
@@ -70,7 +72,9 @@ package lint
 
 import (
 	"fmt"
+	"go/ast"
 	"go/token"
+	"go/types"
 	"sort"
 )
 
@@ -138,9 +142,7 @@ func Passes() []*Pass {
 		PhaseMaskPass(),
 		HotPathAllocPass(),
 		MetricNamesPass(),
-		StaterPass(),
 		FlightPass(),
-		StructLayoutPass(),
 		SoALayoutPass(),
 		ShardPurePass(),
 		StateCoverPass(),
@@ -159,3 +161,28 @@ func PassNames() []string {
 // simPkgPath is the engine package: the one sanctioned host of
 // goroutines and selects, and the definer of RNG/Phase/Slot.
 const simPkgPath = "cfm/internal/sim"
+
+// typeDecls calls fn for every type declaration in the package, with the
+// enclosing GenDecl (whose doc carries directives in the standalone
+// `type T ...` form) and the declared type. Alias declarations (the cfm
+// facade) are skipped: the canonical definition carries every type-level
+// obligation.
+func (t *Target) typeDecls(fn func(gd *ast.GenDecl, ts *ast.TypeSpec, obj *types.TypeName)) {
+	for _, file := range t.Files {
+		for _, decl := range file.Decls {
+			gd, ok := decl.(*ast.GenDecl)
+			if !ok {
+				continue
+			}
+			for _, spec := range gd.Specs {
+				ts, ok := spec.(*ast.TypeSpec)
+				if !ok || ts.Assign.IsValid() {
+					continue
+				}
+				if obj, ok := t.Info.Defs[ts.Name].(*types.TypeName); ok {
+					fn(gd, ts, obj)
+				}
+			}
+		}
+	}
+}

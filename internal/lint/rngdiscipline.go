@@ -26,47 +26,20 @@ func RNGDisciplinePass() *Pass {
 			if t.Pkg.Path() == simPkgPath {
 				return // the definer of RNG itself
 			}
-			for _, file := range t.Files {
-				for _, decl := range file.Decls {
-					gd, ok := decl.(*ast.GenDecl)
-					if !ok {
-						continue
-					}
-					for _, spec := range gd.Specs {
-						ts, ok := spec.(*ast.TypeSpec)
-						if !ok {
-							continue
-						}
-						t.checkRNGType(name, gd, ts, r)
-					}
-				}
-			}
+			t.typeDecls(func(gd *ast.GenDecl, ts *ast.TypeSpec, obj *types.TypeName) {
+				t.checkRNGType(name, gd, ts, obj, r)
+			})
 		},
 	}
 }
 
-// checkRNGType applies the discipline to one type declaration. Alias
-// declarations (the cfm facade) are skipped: the canonical definition
-// carries the annotation.
-func (t *Target) checkRNGType(pass string, gd *ast.GenDecl, ts *ast.TypeSpec, r *Reporter) {
-	if ts.Assign.IsValid() {
-		return
-	}
-	obj, ok := t.Info.Defs[ts.Name].(*types.TypeName)
-	if !ok {
-		return
-	}
+// checkRNGType applies the discipline to one type declaration.
+func (t *Target) checkRNGType(pass string, gd *ast.GenDecl, ts *ast.TypeSpec, obj *types.TypeName, r *Reporter) {
 	st, ok := obj.Type().Underlying().(*types.Struct)
 	if !ok || !structHoldsRNG(st, 0) {
 		return
 	}
-	val, ok := annotation(ts.Doc, "rng")
-	if !ok {
-		val, ok = annotation(gd.Doc, "rng")
-	}
-	if !ok {
-		val, ok = annotation(ts.Comment, "rng")
-	}
+	val, ok := typeAnnotation(gd, ts, "rng")
 	if !ok {
 		r.Reportf(pass, ts.Pos(), "type %s holds a *sim.RNG stream but declares no draw discipline: add //cfm:rng=event (draws at event time, real horizons OK) or //cfm:rng=slot (draws per live slot, Horizon must pin now) to its doc comment", ts.Name.Name)
 		return

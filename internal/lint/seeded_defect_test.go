@@ -137,3 +137,43 @@ func TestSeededCrossShardWrite(t *testing.T) {
 		t.Errorf("no finding attributes the callee's cross-shard write to its TickShard root:\n%s", strings.Join(diags, "\n"))
 	}
 }
+
+// TestSeededComputedSlotHorizon makes the clean rng-discipline
+// fixture's //cfm:rng=slot type claim a computed future slot. On the
+// real tree the same defect (a slot-drawing generator reporting
+// now + 2) passes every runtime battery: dense and skip-ahead runs stay
+// identical while nothing drives that generator under skip-ahead, so
+// this pass is the only check that catches it.
+func TestSeededComputedSlotHorizon(t *testing.T) {
+	dir := seedFixture(t, filepath.Join("testdata", "src", "rng-discipline", "neg"),
+		"\t\treturn sim.HorizonNone\n\t}\n\treturn now\n", "\t\treturn sim.HorizonNone\n\t}\n\treturn now + 2\n")
+	diags := runPassOn(t, "rng-discipline", dir)
+	var sawPinned bool
+	for _, d := range diags {
+		if strings.Contains(d, "Pinned") && strings.Contains(d, "computed horizon") {
+			sawPinned = true
+		}
+	}
+	if !sawPinned {
+		t.Fatalf("rng-discipline missed a slot-discipline Horizon returning now + 2:\n%s", strings.Join(diags, "\n"))
+	}
+}
+
+// TestSeededUngatedFormat strips the Enabled() gate from the clean
+// hotpath-alloc fixture's trace formatting. The runtime AllocsPerRun
+// guards only see allocations on the paths they drive; the pass sees
+// every path in the Tick graph.
+func TestSeededUngatedFormat(t *testing.T) {
+	dir := seedFixture(t, filepath.Join("testdata", "src", "hotpath-alloc", "neg"),
+		"\tif e.tr.Enabled() {\n\t\te.tr.add(fmt.Sprintf(\"slot %d\", t))\n\t}\n", "\te.tr.add(fmt.Sprintf(\"slot %d\", t))\n")
+	diags := runPassOn(t, "hotpath-alloc", dir)
+	var sawSprintf bool
+	for _, d := range diags {
+		if strings.Contains(d, "fmt.Sprintf in hot path") {
+			sawSprintf = true
+		}
+	}
+	if !sawSprintf {
+		t.Fatalf("hotpath-alloc missed an ungated fmt.Sprintf in Tick:\n%s", strings.Join(diags, "\n"))
+	}
+}

@@ -28,24 +28,11 @@ func SoALayoutPass() *Pass {
 		Name: name,
 		Doc:  "//cfm:soa arena slices must hold pointer-free elements (no maps; //cfm:soa-ok <reason> exempts)",
 		Run: func(t *Target, r *Reporter) {
-			for _, file := range t.Files {
-				for _, decl := range file.Decls {
-					gd, ok := decl.(*ast.GenDecl)
-					if !ok {
-						continue
-					}
-					for _, spec := range gd.Specs {
-						ts, ok := spec.(*ast.TypeSpec)
-						if !ok {
-							continue
-						}
-						if !typeAnnotated(gd, ts, "soa") {
-							continue
-						}
-						t.checkSoALayout(ts, r, name)
-					}
+			t.typeDecls(func(gd *ast.GenDecl, ts *ast.TypeSpec, _ *types.TypeName) {
+				if typeAnnotated(gd, ts, "soa") {
+					t.checkSoALayout(ts, r, name)
 				}
-			}
+			})
 		},
 	}
 }

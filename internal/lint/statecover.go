@@ -7,9 +7,22 @@ import (
 	"strings"
 )
 
-// StateCoverPass proves the checkpoint-coverage contract behind the
-// resume-equivalence suite: for every sim.Stater declared in the
-// package, each persistent field of the receiver struct — one the
+// StateCoverPass proves the checkpoint contract behind the
+// resume-equivalence suite, in one walk over every struct type of the
+// package.
+//
+// First, a ticker that owns mutable simulation state must be
+// checkpointable. A struct declaring state — a //cfm:rng discipline, a
+// *sim.RNG or sim.Queue field, or a direct slice/array/map/chan field
+// (reachable through embedded structs and pointers) — whose method set
+// includes Tick(sim.Slot, sim.Phase) must satisfy sim.Stater with the
+// exact signatures, or a checkpoint taken from an engine registering it
+// restores into a silently wrong resume. A ticker that deliberately opts
+// out (its state is queued closures, or it is only ever checkpointed
+// quiescent) says so with //cfm:no-stater <reason> in its doc comment.
+//
+// Second, for every sim.Stater declared in the package, each persistent
+// field of the receiver struct — one the
 // Tick/TickShard/FinishShards/FinishEpoch call graph may write,
 // directly or through a mutating method like Queue.Push or RNG draws
 // (effects.go's writesObj summary) — must be
@@ -44,7 +57,7 @@ func StateCoverPass() *Pass {
 	const name = "statecover"
 	return &Pass{
 		Name: name,
-		Doc:  "sim.Stater persistent fields must be saved+loaded in matching order/types, //cfm:rebuilt, or //cfm:no-save <reason>",
+		Doc:  "stateful tickers implement sim.Stater (or //cfm:no-stater <reason>); Stater fields are saved+loaded in matching order/types, //cfm:rebuilt, or //cfm:no-save <reason>",
 		Run: func(t *Target, r *Reporter) {
 			sc := &stateCover{
 				pass:     name,
@@ -53,19 +66,7 @@ func StateCoverPass() *Pass {
 				effects:  newEffectMemo(),
 				pairSeen: make(map[[2]*types.Func]bool),
 			}
-			for _, file := range t.Files {
-				for _, decl := range file.Decls {
-					gd, ok := decl.(*ast.GenDecl)
-					if !ok {
-						continue
-					}
-					for _, spec := range gd.Specs {
-						if ts, ok := spec.(*ast.TypeSpec); ok {
-							sc.checkType(ts)
-						}
-					}
-				}
-			}
+			t.typeDecls(sc.checkType)
 		},
 	}
 }
@@ -82,20 +83,19 @@ type stateCover struct {
 // simulation state between checkpoints.
 var tickRoots = [...]string{"Tick", "TickShard", "FinishShards", "FinishEpoch"}
 
-// checkType applies both halves of the contract to one Stater type.
-func (sc *stateCover) checkType(ts *ast.TypeSpec) {
-	if ts.Assign.IsValid() {
-		return // alias: the canonical declaration carries the obligation
-	}
-	obj, ok := sc.t.Info.Defs[ts.Name].(*types.TypeName)
+// checkType applies the checkpoint contract to one type declaration: a
+// stateful ticker must be a Stater, and a Stater must cover its fields.
+func (sc *stateCover) checkType(gd *ast.GenDecl, ts *ast.TypeSpec, obj *types.TypeName) {
+	st, ok := obj.Type().Underlying().(*types.Struct)
 	if !ok {
 		return
 	}
-	if _, ok := obj.Type().Underlying().(*types.Struct); !ok {
-		return
+	saveOK := sc.t.hasStateMethod(obj, "SaveState", "StateEncoder")
+	loadOK := sc.t.hasStateMethod(obj, "LoadState", "StateDecoder")
+	if sc.t.isTicker(obj) {
+		sc.checkpointable(gd, ts, st, saveOK, loadOK)
 	}
-	if !sc.t.hasStateMethod(obj, "SaveState", "StateEncoder") ||
-		!sc.t.hasStateMethod(obj, "LoadState", "StateDecoder") {
+	if !saveOK || !loadOK {
 		return
 	}
 	saveFD := sc.t.methodDecl(obj, "SaveState")
@@ -108,6 +108,110 @@ func (sc *stateCover) checkType(ts *ast.TypeSpec) {
 	loaded := sc.mentions(loadFD)
 	sc.coverage(ts, obj, saved, loaded)
 	sc.symmetry(obj, saveFD, loadFD)
+}
+
+// checkpointable reports a ticker that holds state a checkpoint could
+// lose yet implements at most half of sim.Stater, unless it carries a
+// reasoned //cfm:no-stater waiver.
+func (sc *stateCover) checkpointable(gd *ast.GenDecl, ts *ast.TypeSpec, st *types.Struct, saveOK, loadOK bool) {
+	if _, hasRNG := typeAnnotation(gd, ts, "rng"); !hasRNG && !structHoldsState(st, 0) {
+		return // stateless ticker: nothing a checkpoint could lose
+	}
+	if reason, ok := typeAnnotation(gd, ts, "no-stater"); ok {
+		if reason == "" {
+			sc.r.Reportf(sc.pass, ts.Pos(), "type %s: bare //cfm:no-stater; state why the ticker is exempt from checkpointing (//cfm:no-stater <reason>)", ts.Name.Name)
+		}
+		return
+	}
+	switch {
+	case saveOK && loadOK:
+		// checkpointable; checkType goes on to field coverage
+	case saveOK != loadOK:
+		sc.r.Reportf(sc.pass, ts.Pos(), "type %s implements only half of sim.Stater: both SaveState(*sim.StateEncoder) and LoadState(*sim.StateDecoder) are required for checkpoint round-trips", ts.Name.Name)
+	default:
+		sc.r.Reportf(sc.pass, ts.Pos(), "type %s is a ticker with mutable simulation state but does not implement sim.Stater: a checkpoint would drop its state and resume wrong — add SaveState/LoadState or annotate //cfm:no-stater <reason>", ts.Name.Name)
+	}
+}
+
+// isTicker reports whether *T's method set includes
+// Tick(sim.Slot, sim.Phase) with no results — the sim.Ticker contract.
+func (t *Target) isTicker(obj *types.TypeName) bool {
+	fn := t.lookupMethod(obj, "Tick")
+	if fn == nil {
+		return false
+	}
+	sig := fn.Type().(*types.Signature)
+	return sig.Params().Len() == 2 && sig.Results().Len() == 0 &&
+		isSimNamed(sig.Params().At(0).Type(), "Slot") &&
+		isSimNamed(sig.Params().At(1).Type(), "Phase")
+}
+
+// hasStateMethod reports whether *T has method name(*sim.<argType>)
+// with no results — one half of the sim.Stater contract.
+func (t *Target) hasStateMethod(obj *types.TypeName, name, argType string) bool {
+	fn := t.lookupMethod(obj, name)
+	if fn == nil {
+		return false
+	}
+	sig := fn.Type().(*types.Signature)
+	if sig.Params().Len() != 1 || sig.Results().Len() != 0 {
+		return false
+	}
+	ptr, ok := sig.Params().At(0).Type().(*types.Pointer)
+	return ok && isSimNamed(ptr.Elem(), argType)
+}
+
+// lookupMethod resolves a method on *T, seeing through embedding.
+func (t *Target) lookupMethod(obj *types.TypeName, name string) *types.Func {
+	o, _, _ := types.LookupFieldOrMethod(types.NewPointer(obj.Type()), true, t.Pkg, name)
+	fn, _ := o.(*types.Func)
+	return fn
+}
+
+// isSimNamed reports whether typ is the named type sim.<name>.
+func isSimNamed(typ types.Type, name string) bool {
+	named, ok := types.Unalias(typ).(*types.Named)
+	if !ok {
+		return false
+	}
+	o := named.Obj()
+	return o.Name() == name && o.Pkg() != nil && o.Pkg().Path() == simPkgPath
+}
+
+// structHoldsState reports whether st owns mutable simulation state a
+// checkpoint must carry: an RNG stream, a sim.Queue, or a direct
+// container field. Function and interface fields do not count
+// (callbacks are code, not data — the rebinder doctrine), and named
+// field types other than RNG/Queue are the responsibility of their own
+// declaration.
+func structHoldsState(st *types.Struct, depth int) bool {
+	if depth > 8 {
+		return false
+	}
+	for i := 0; i < st.NumFields(); i++ {
+		if typeHoldsState(st.Field(i).Type(), depth) {
+			return true
+		}
+	}
+	return false
+}
+
+func typeHoldsState(typ types.Type, depth int) bool {
+	switch ty := typ.(type) {
+	case *types.Named:
+		o := ty.Obj()
+		return o.Pkg() != nil && o.Pkg().Path() == simPkgPath &&
+			(o.Name() == "RNG" || o.Name() == "Queue")
+	case *types.Alias:
+		return typeHoldsState(types.Unalias(ty), depth)
+	case *types.Pointer:
+		return typeHoldsState(ty.Elem(), depth)
+	case *types.Slice, *types.Array, *types.Map, *types.Chan:
+		return true
+	case *types.Struct:
+		return structHoldsState(ty, depth+1)
+	}
+	return false
 }
 
 // mentions collects the depth-1 receiver fields a Save/LoadState graph

@@ -10,7 +10,7 @@ import (
 	"sort"
 )
 
-// Serve starts a live observability endpoint on addr (e.g. ":8080"):
+// ServeStatus starts a live observability endpoint on addr (e.g. ":8080"):
 //
 //	/metrics       Prometheus text exposition of reg's current state
 //	/healthz       liveness probe ("ok")
@@ -23,11 +23,8 @@ import (
 // long simulations can be profiled while running. Callers should
 // srv.Close() when done. The handlers snapshot the registry per request;
 // concurrent simulation writes are safe (atomics / mutexes).
-func Serve(addr string, reg *Registry) (*http.Server, error) {
-	return ServeStatus(addr, reg, nil)
-}
-
-// ServeStatus is Serve with an engine status source. When sv is non-nil,
+//
+// sv is the engine status source and may be nil. When it is non-nil,
 // /statusz reports its readings and /metrics appends the
 // engine_slots_skipped_total, engine_jumps_total,
 // engine_barrier_crossings_total and engine_epochs_total counters at

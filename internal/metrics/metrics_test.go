@@ -242,7 +242,7 @@ func TestSamplerRecordsEveryN(t *testing.T) {
 func TestServeMetricsEndpoint(t *testing.T) {
 	r := New()
 	r.Counter("hits").Add(7)
-	srv, err := Serve("127.0.0.1:0", r)
+	srv, err := ServeStatus("127.0.0.1:0", r, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

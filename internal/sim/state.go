@@ -333,13 +333,15 @@ func (d *StateDecoder) lenPrefixed(want byte, name string) []byte {
 		d.Failf("sim: corrupt state: %s length %d exceeds %d remaining bytes", name, n, d.Remaining())
 		return nil
 	}
-	out := make([]byte, n)
-	copy(out, d.buf[d.off:d.off+n])
+	out := d.buf[d.off : d.off+n : d.off+n]
 	d.off += n
 	return out
 }
 
-// Bytes32 reads a length-prefixed byte section (a fresh copy).
+// Bytes32 reads a length-prefixed byte section. The result aliases the
+// decoder's input, capped at its own length so an append reallocates
+// rather than overwriting the bytes that follow; copy it to keep it
+// past the input's lifetime or to write into it.
 func (d *StateDecoder) Bytes32() []byte { return d.lenPrefixed(tagBytes, "bytes") }
 
 // String reads a length-prefixed string.

@@ -141,6 +141,33 @@ func TestStateEncoderRoundTrip(t *testing.T) {
 	}
 }
 
+// TestBytes32AliasesInput pins Bytes32's in-place decode: the section
+// is a view of the decoder's input (restore copies no section), and its
+// capacity ends at its length, so appending to one section reallocates
+// instead of overwriting the next one.
+func TestBytes32AliasesInput(t *testing.T) {
+	enc := NewStateEncoder()
+	enc.Bytes32([]byte{1, 2, 3})
+	enc.Bytes32([]byte{4, 5})
+	buf := enc.Bytes()
+	dec := NewStateDecoder(buf)
+	first, second := dec.Bytes32(), dec.Bytes32()
+	if err := dec.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if len(first) != 3 || cap(first) != len(first) {
+		t.Fatalf("first section len %d cap %d, want 3 and 3", len(first), cap(first))
+	}
+	if &first[0] != &buf[5] { // after one tag byte and a 4-byte length
+		t.Fatal("Bytes32 returned a copy, not a view of the input")
+	}
+	want := bytes.Clone(buf)
+	_ = append(first, 9)
+	if !bytes.Equal(buf, want) || !bytes.Equal(second, []byte{4, 5}) {
+		t.Fatalf("appending to the first section wrote into the input: %v", buf)
+	}
+}
+
 // TestStateDecoderTypeMismatch: reading a value as the wrong type must
 // produce a sticky error, not garbage.
 func TestStateDecoderTypeMismatch(t *testing.T) {
